@@ -77,6 +77,25 @@ class Graph:
         )
 
     @cached_property
+    def csr_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparsity pattern of the symmetric n x n matrix with an entry at
+        (i, j) and (j, i) for every edge plus the full diagonal, in canonical
+        CSR order (rows in turn, column indices sorted within a row).
+
+        Returns (indptr, indices, order). For values laid out in triplet
+        order, [the m (i, j) entries, the m (j, i) entries, the n diagonal
+        entries], ``values[order]`` is the CSR data array.
+        """
+        ii, jj, _ = self.edge_arrays
+        diag = np.arange(self.n, dtype=np.intp)
+        rows = np.concatenate([ii, jj, diag])
+        cols = np.concatenate([jj, ii, diag])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return indptr, cols[order], order
+
+    @cached_property
     def _weight_map(self) -> dict[tuple[int, int], float]:
         return {(i, j): w for i, j, w in self.edges}
 

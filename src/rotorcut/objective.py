@@ -26,7 +26,9 @@ HEISENBERG_MAX_NODES = 10
 
 def wrap_angles(theta) -> np.ndarray:
     """Normalize angles to [0, 2*pi). Every consumer is 2*pi-periodic."""
-    return np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    wrapped = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    # np.mod rounds tiny negative angles, |t| < ulp(2*pi)/2, up to exactly 2*pi
+    return np.where(wrapped == TWO_PI, 0.0, wrapped)
 
 
 def _check_config(g: Graph, theta) -> np.ndarray:
@@ -43,7 +45,7 @@ def cost(g: Graph, theta) -> float:
     """
     theta = _check_config(g, theta)
     ii, jj, ww = g.edge_arrays
-    return float(np.sum(ww * np.cos(theta[ii] - theta[jj])))
+    return float((ww * np.cos(theta[ii] - theta[jj])).sum())
 
 
 def cost_gradient(g: Graph, theta) -> np.ndarray:
@@ -57,12 +59,13 @@ def cost_gradient(g: Graph, theta) -> np.ndarray:
     return grad
 
 
-def cost_hessian(g: Graph, theta) -> sparse.coo_array:
-    """Sparse symmetric Hessian in triplet form with explicit diagonal.
+def cost_hessian(g: Graph, theta) -> sparse.csr_array:
+    """Sparse symmetric Hessian in CSR form with explicit diagonal.
 
     H_ij = w_ij * cos(t_i - t_j) on edges, H_ii = -sum_j w_ij * cos(t_i - t_j).
     Off-edge entries are structurally zero; graphs here are sparse, so no
-    dense assembly.
+    dense assembly. The sparsity pattern is built once per graph
+    (Graph.csr_structure); each call only fills the data array.
     """
     theta = _check_config(g, theta)
     ii, jj, ww = g.edge_arrays
@@ -70,10 +73,9 @@ def cost_hessian(g: Graph, theta) -> sparse.coo_array:
     diag = np.zeros(g.n)
     np.subtract.at(diag, ii, c)
     np.subtract.at(diag, jj, c)
-    rows = np.concatenate([ii, jj, np.arange(g.n)])
-    cols = np.concatenate([jj, ii, np.arange(g.n)])
-    data = np.concatenate([c, c, diag])
-    return sparse.coo_array((data, (rows, cols)), shape=(g.n, g.n))
+    indptr, indices, order = g.csr_structure
+    data = np.concatenate([c, c, diag])[order]
+    return sparse.csr_array((data, indices, indptr), shape=(g.n, g.n))
 
 
 def _kron_chain(factors: list[np.ndarray]) -> np.ndarray:

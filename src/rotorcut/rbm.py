@@ -30,6 +30,7 @@ import numpy as np
 from scipy import special
 
 TWO_PI = 2.0 * np.pi
+_LOG_TWO_PI = np.log(TWO_PI)
 
 # checkpoint header layout: magic, packing version, n, m
 _CHECKPOINT_MAGIC = b"RCUT"
@@ -45,6 +46,23 @@ def _bessel_args(x):
     return arr
 
 
+def _log_i0(arr: np.ndarray) -> np.ndarray:
+    """log I0 of a validated float array; see log_bessel_i0."""
+    large = arr + np.log(special.i0e(arr))
+    # the usual case on the sampling path: no argument needs the series
+    if arr.size and arr.min() > 0.05:
+        return large
+    x2 = arr * arr
+    # series truncation error is below 1e-15 relative for x <= 0.05
+    small = np.log1p(x2 / 4.0 + x2 * x2 / 64.0 + x2 * x2 * x2 / 2304.0)
+    return np.where(arr <= 0.05, small, large)
+
+
+def _ratio(arr: np.ndarray) -> np.ndarray:
+    """I1/I0 of a validated float array; see bessel_ratio."""
+    return special.i1e(arr) / special.i0e(arr)
+
+
 def log_bessel_i0(x):
     """log I0(x) for x >= 0, overflow-free via the exponentially scaled i0e.
 
@@ -54,11 +72,7 @@ def log_bessel_i0(x):
     series. Stays accurate out to x ~ 1e6 and beyond, where
     log I0(x) ~ x - log(2*pi*x)/2.
     """
-    arr = _bessel_args(x)
-    x2 = arr * arr
-    # series truncation error is below 1e-15 relative for x <= 0.05
-    small = np.log1p(x2 / 4.0 + x2 * x2 / 64.0 + x2 * x2 * x2 / 2304.0)
-    out = np.where(arr <= 0.05, small, arr + np.log(special.i0e(arr)))
+    out = _log_i0(_bessel_args(x))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
@@ -67,15 +81,17 @@ def bessel_ratio(x):
 
     Monotone increasing from 0 toward 1, always inside [0, 1).
     """
-    arr = _bessel_args(x)
-    out = special.i1e(arr) / special.i0e(arr)
+    out = _ratio(_bessel_args(x))
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
 def visible_vectors(theta) -> np.ndarray:
     """Unit vectors (cos t_j, sin t_j), shape (n, 2)."""
     theta = np.asarray(theta, dtype=float)
-    return np.column_stack([np.cos(theta), np.sin(theta)])
+    v = np.empty((theta.size, 2))
+    np.cos(theta, out=v[:, 0])
+    np.sin(theta, out=v[:, 1])
+    return v
 
 
 @dataclass(frozen=True)
@@ -147,14 +163,28 @@ def hidden_fields(p: RbmParams, theta) -> np.ndarray:
     return p.b + p.a @ v
 
 
-def log_psi(p: RbmParams, theta) -> float:
-    """Closed-form log wavefunction; see module docstring."""
+def _fields_and_norms(p: RbmParams, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, u, |u_i|) for one configuration; raises ValueError on a length
+    mismatch or a non-finite angle.
+
+    The parameters are finite by construction, so a finite theta gives
+    finite, nonnegative norms and the Bessel helpers need no further
+    checks; one check here replaces theirs on the sampling hot path.
+    """
     v = visible_vectors(theta)
     if v.shape[0] != p.n:
         raise ValueError(f"rotor config length {v.shape[0]} does not match n={p.n}")
     u = p.b + p.a @ v
-    norms = np.linalg.norm(u, axis=1)
-    return float(np.sum(p.c * v) + p.m * np.log(TWO_PI) + np.sum(log_bessel_i0(norms)))
+    sq = np.add.reduce(u * u, axis=1)
+    if not np.isfinite(sq.sum()):
+        raise ValueError("rotor angles must be finite")
+    return v, u, np.sqrt(sq)
+
+
+def log_psi(p: RbmParams, theta) -> float:
+    """Closed-form log wavefunction; see module docstring."""
+    v, _, norms = _fields_and_norms(p, theta)
+    return float((p.c * v).sum() + p.m * _LOG_TWO_PI + _log_i0(norms).sum())
 
 
 def log_derivatives(p: RbmParams, theta) -> np.ndarray:
@@ -164,14 +194,10 @@ def log_derivatives(p: RbmParams, theta) -> np.ndarray:
     with r = bessel_ratio. A vanishing hidden field is the analytic limit:
     r(x)/x -> 1/2, so the b and a blocks of that unit are exactly zero.
     """
-    v = visible_vectors(theta)
-    if v.shape[0] != p.n:
-        raise ValueError(f"rotor config length {v.shape[0]} does not match n={p.n}")
-    u = p.b + p.a @ v
-    norms = np.linalg.norm(u, axis=1)
+    v, u, norms = _fields_and_norms(p, theta)
     factor = np.zeros(p.m)
     nz = norms > 0.0
-    factor[nz] = bessel_ratio(norms[nz]) / norms[nz]
+    factor[nz] = _ratio(norms[nz]) / norms[nz]
     db = factor[:, None] * u                  # (m, 2)
     da = db @ v.T                             # (m, n)
     return np.concatenate([da.ravel(), db.ravel(), v.ravel()])

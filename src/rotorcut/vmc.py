@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,6 +99,11 @@ class SrBatch:
     e_loc: np.ndarray      # (N,)
     accept_rate: float
 
+    @cached_property
+    def centered(self) -> np.ndarray:
+        """o_matrix minus its column means; every metric product reuses it."""
+        return self.o_matrix - self.o_matrix.mean(axis=0)
+
 
 @dataclass(frozen=True)
 class SrDiagnostics:
@@ -155,7 +161,9 @@ def sample_batch(
     """Advance the chain n_samp steps, keeping the last n_samp - n_warm.
 
     Warm steps are discarded without evaluating derivatives or energies.
-    The returned chain continues from where the segment ended.
+    A rejected step leaves the walker where it was, so its row repeats the
+    previous kept one instead of being evaluated again. The returned chain
+    continues from where the segment ended.
     """
     n_keep = cfg.n_samp - cfg.n_warm
     samples = np.empty((n_keep, p.n))
@@ -168,8 +176,12 @@ def sample_batch(
         idx = k - cfg.n_warm
         if idx >= 0:
             samples[idx] = s.theta
-            o_matrix[idx] = log_derivatives(p, s.theta)
-            e_loc[idx] = cost(g, s.theta)
+            if idx > 0 and not s.accepted:
+                o_matrix[idx] = o_matrix[idx - 1]
+                e_loc[idx] = e_loc[idx - 1]
+            else:
+                o_matrix[idx] = log_derivatives(p, s.theta)
+                e_loc[idx] = cost(g, s.theta)
     batch = SrBatch(
         samples=samples,
         o_matrix=o_matrix,
@@ -198,14 +210,14 @@ def estimate_forces(batch: SrBatch) -> tuple[float, np.ndarray, np.ndarray]:
 def apply_metric(batch: SrBatch, x, lam: float) -> np.ndarray:
     """(S + lam*I) x for the SR metric S = <O O> - <O><O>, matrix-free.
 
-    Uses two passes over the row-centered O matrix; the P x P matrix is
-    never formed.
+    Uses two passes over the row-centered O matrix, centered once per
+    batch; the P x P matrix is never formed.
     """
     x = np.asarray(x, dtype=float)
     n, n_params = batch.o_matrix.shape
     if x.shape != (n_params,):
         raise ValueError(f"vector length {x.shape} does not match P={n_params}")
-    centered = batch.o_matrix - batch.o_matrix.mean(axis=0)
+    centered = batch.centered
     return centered.T @ (centered @ x) / n + lam * x
 
 

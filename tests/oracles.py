@@ -4,13 +4,20 @@ Everything here is written from the mathematical definitions, on purpose
 avoiding the package's own code paths: plain-Python enumeration for cuts,
 central finite differences for derivatives, trapezoid quadrature for the
 wavefunction integral, mpmath for Bessel functions, and dense linear
-algebra for the SR metric.
+algebra for the SR metric. The dense Procedure-Cut and the triplet-form
+Hessian are the package's former implementations, kept to cross-check
+the sorted sweep and the cached CSR structure that replaced them; both
+share only the input normalisation (wrap_angles) and cut_value with the
+package.
 """
 
 import itertools
 
 import mpmath
 import numpy as np
+from scipy import sparse
+
+from rotorcut import cut_value, wrap_angles
 
 mpmath.mp.dps = 50
 
@@ -104,3 +111,37 @@ def direct_forces(o_matrix, e_loc):
     for k in range(p):
         g[k] = 2.0 * (np.dot(e, o[:, k]) / n - e_mean * o[:, k].sum() / n)
     return e_mean, g
+
+
+def dense_procedure_cut(g, theta):
+    """Procedure-Cut by evaluating every candidate split line at once:
+    n x n labels and n x m label products, O(n*m) time and memory."""
+    theta = wrap_angles(theta)
+    if theta.shape != (g.n,):
+        raise ValueError(f"rotor config length {theta.shape} does not match n={g.n}")
+    ii, jj, ww = g.edge_arrays
+
+    # offsets[k, i] = (t_i - t_k) mod 2*pi; row k is candidate Gamma = t_k
+    offsets = np.mod(theta[None, :] - theta[:, None], TWO_PI)
+    labels = np.where(offsets < np.pi, 1.0, -1.0)
+    if len(g.edges):
+        values = 0.5 * ((1.0 - labels[:, ii] * labels[:, jj]) @ ww)
+    else:
+        values = np.zeros(g.n)
+    best = int(np.argmax(values))
+    x = labels[best].astype(int)
+    return cut_value(g, x), x
+
+
+def triplet_hessian(g, theta):
+    """Rotor-energy Hessian assembled from (row, col, value) triplets."""
+    theta = np.asarray(theta, dtype=float)
+    ii, jj, ww = g.edge_arrays
+    c = ww * np.cos(theta[ii] - theta[jj])
+    diag = np.zeros(g.n)
+    np.subtract.at(diag, ii, c)
+    np.subtract.at(diag, jj, c)
+    rows = np.concatenate([ii, jj, np.arange(g.n)])
+    cols = np.concatenate([jj, ii, np.arange(g.n)])
+    data = np.concatenate([c, c, diag])
+    return sparse.coo_array((data, (rows, cols)), shape=(g.n, g.n))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rotorcut import (
     BmzConfig,
+    Graph,
     bmz_minimize,
     brute_force_max_cut,
     cost,
@@ -12,6 +15,7 @@ from rotorcut import (
     procedure_cut,
     random_start,
 )
+from oracles import dense_procedure_cut
 
 # rotor minima with closed forms: complete graphs give (|sum of unit
 # vectors|^2 - n)/2 >= -n/2 for odd frustration, cycles of odd length n
@@ -136,3 +140,113 @@ def test_best_of_starts_reaches_optimum(small_suite):
             for s in range(5)
         )
         assert best == opt, name
+
+
+def assert_same_cut(g, theta):
+    value, x = procedure_cut(g, theta)
+    ref_value, ref_x = dense_procedure_cut(g, theta)
+    assert value == ref_value
+    np.testing.assert_array_equal(x, ref_x)
+    assert x.dtype == ref_x.dtype
+
+
+def unit_instances(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(0, n * (n - 1) // 2 + 1))
+        yield generate_graph(n, m, "unit", int(rng.integers(1 << 30))), rng
+
+
+def test_procedure_cut_matches_dense_on_random_unit_graphs():
+    for g, rng in unit_instances(60, seed=20):
+        assert_same_cut(g, rng.uniform(0.0, 2.0 * np.pi, g.n))
+        theta0 = random_start(g.n, seed=int(rng.integers(1 << 30)))
+        assert_same_cut(g, theta0)
+        assert_same_cut(g, bmz_minimize(g, theta0)[0])
+
+
+def test_procedure_cut_matches_dense_on_named_and_degenerate_graphs(small_suite):
+    graphs = list(small_suite.values()) + [
+        Graph(2, ((0, 1, 1.0),)),
+        Graph(2, ()),
+        Graph(7, ()),
+    ]
+    for g in graphs:
+        for seed in range(4):
+            theta0 = random_start(g.n, seed=seed)
+            assert_same_cut(g, theta0)
+            assert_same_cut(g, bmz_minimize(g, theta0)[0])
+
+
+def test_procedure_cut_matches_dense_on_structured_angles():
+    rng = np.random.default_rng(21)
+    for g, _ in unit_instances(40, seed=22):
+        n = g.n
+        base = rng.uniform(0.0, 2.0 * np.pi)
+        for theta in (
+            rng.integers(-8, 16, n) * (np.pi / 4),
+            rng.integers(-6, 12, n) * (np.pi / 3),
+            rng.choice(rng.uniform(0.0, 2.0 * np.pi, 3), n),  # repeated angles
+            np.full(n, base),                                 # all equal
+            base + np.pi * rng.integers(0, 2, n),             # offsets of exactly pi
+            rng.choice([0.0, np.pi, -1e-17, 1e-300, 2.0 * np.pi], n),
+        ):
+            assert_same_cut(g, theta)
+
+
+def test_procedure_cut_real_weights_match_dense():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, n * (n - 1) // 2 + 1))
+        g = generate_graph(n, m, (0.0, 15.0), int(rng.integers(1 << 30)))
+        for theta in (
+            rng.uniform(0.0, 2.0 * np.pi, n),
+            bmz_minimize(g, random_start(n, seed=int(rng.integers(1 << 30))))[0],
+        ):
+            value, x = procedure_cut(g, theta)
+            ref_value, _ = dense_procedure_cut(g, theta)
+            assert abs(value - ref_value) <= 1e-9 * g.total_weight
+            assert cut_value(g, x) == value
+
+
+def traced_peak_mb(g, theta):
+    g.edge_arrays  # cached per graph; not part of one call's footprint
+    tracemalloc.start()
+    try:
+        result = procedure_cut(g, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def test_procedure_cut_memory_is_linear():
+    # the dense rounding peaked at 427 MB here (n x m label products)
+    g = generate_graph(2000, 8000, "unit", 1)
+    (value, x), peak_mb = traced_peak_mb(g, random_start(g.n, seed=0))
+    assert peak_mb < 16.0
+    assert cut_value(g, x) == value
+
+
+def test_procedure_cut_scales_to_large_sparse_graph():
+    # each n x m array of the dense rounding would take 4 GB here
+    g = generate_graph(10_000, 50_000, "unit", 2)
+    theta = random_start(g.n, seed=3)
+    (value, x), peak_mb = traced_peak_mb(g, theta)
+    assert peak_mb < 32.0
+    assert cut_value(g, x) == value
+    # no worse than the average over split lines, sum w_ij * d_ij / pi
+    ii, jj, ww = g.edge_arrays
+    d = np.abs(np.mod(theta[ii] - theta[jj] + np.pi, 2.0 * np.pi) - np.pi)
+    assert value >= float(ww @ d) / np.pi
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_angles_rejected(k4, bad):
+    theta = np.array([0.1, bad, 2.0, 4.0])
+    with pytest.raises(ValueError, match="finite"):
+        procedure_cut(k4, theta)
+    with pytest.raises(ValueError, match="finite"):
+        bmz_minimize(k4, theta)

@@ -9,7 +9,7 @@ from rotorcut import (
     heisenberg_expectation,
     wrap_angles,
 )
-from oracles import fd_gradient, fd_hessian_column, rotor_cost
+from oracles import fd_gradient, fd_hessian_column, rotor_cost, triplet_hessian
 
 
 def random_instances(count, n_range=(3, 9), seed=0):
@@ -56,6 +56,18 @@ def test_hessian_matches_finite_differences():
             np.testing.assert_allclose(hess[:, k], ref, rtol=1e-5, atol=1e-6)
 
 
+def test_hessian_matches_triplet_assembly():
+    cases = random_instances(10, n_range=(2, 30), seed=8)
+    cases.append((generate_graph(5, 0, "unit", 0), np.arange(5.0)))
+    for g, theta in cases:
+        hess = cost_hessian(g, theta)
+        ref = triplet_hessian(g, theta).tocsr()
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(hess, field), getattr(ref, field)
+            assert got.dtype == want.dtype, field
+            np.testing.assert_array_equal(got, want, err_msg=field)
+
+
 def test_hessian_symmetric():
     for g, theta in random_instances(6, seed=7):
         hess = cost_hessian(g, theta).toarray()
@@ -86,3 +98,5 @@ def test_wrap_angles():
     assert np.all(wrapped >= 0.0)
     assert np.all(wrapped < 2.0 * np.pi)
     np.testing.assert_allclose(np.cos(wrapped), np.cos(theta), atol=1e-12)
+    # np.mod alone rounds these up to exactly 2*pi
+    np.testing.assert_array_equal(wrap_angles([-1e-17, -1e-300]), [0.0, 0.0])

@@ -61,6 +61,16 @@ def test_bessel_rejects_bad_input():
         bessel_ratio(np.nan)
 
 
+def test_log_psi_and_derivatives_reject_non_finite_angles():
+    p = random_params(3, 2, seed=4)
+    for bad in (np.nan, np.inf, -np.inf):
+        theta = np.array([0.3, bad, 5.5])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            log_psi(p, theta)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            log_derivatives(p, theta)
+
+
 def test_visible_vectors():
     theta = np.array([0.0, np.pi / 2.0])
     v = visible_vectors(theta)
