@@ -28,13 +28,11 @@ from .objective import (
     cost,
     cost_gradient,
     cost_hessian,
-    heisenberg_expectation,
     wrap_angles,
 )
 from .rbm import (
     RbmParams,
     bessel_ratio,
-    hidden_fields,
     init_pretrained,
     init_random,
     load_params,
@@ -84,8 +82,6 @@ __all__ = [
     "cut_value",
     "estimate_forces",
     "generate_graph",
-    "heisenberg_expectation",
-    "hidden_fields",
     "init_pretrained",
     "init_random",
     "load_params",

@@ -25,25 +25,23 @@ from .objective import TWO_PI, cost, cost_gradient, cost_hessian, wrap_angles
 # objective, so further shrinking can't make progress
 _RADIUS_FLOOR = 1e-13
 
+# trust-region radius schedule: start, cap, and the step-quality ratios
+_RADIUS_INIT = 1.0
+_RADIUS_MAX = 10.0
+_ACCEPT_RATIO_LO = 0.25   # shrink the radius below this ratio
+_ACCEPT_RATIO_HI = 0.75   # grow it above this one (on boundary steps)
+
 
 @dataclass(frozen=True)
 class BmzConfig:
     max_iters: int = 500
     grad_tol: float = 1e-8          # stop on ||grad||_inf <= grad_tol
-    tr_radius_init: float = 1.0
-    tr_radius_max: float = 10.0
-    accept_ratio_lo: float = 0.25   # shrink radius below this ratio
-    accept_ratio_hi: float = 0.75   # grow radius above it (on boundary steps)
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if not (0 < self.tr_radius_init <= self.tr_radius_max):
-            raise ValueError("need 0 < tr_radius_init <= tr_radius_max")
-        if not (0 < self.accept_ratio_lo < self.accept_ratio_hi < 1):
-            raise ValueError("need 0 < accept_ratio_lo < accept_ratio_hi < 1")
 
 
 def _check_angles(g: Graph, theta) -> np.ndarray:
@@ -125,7 +123,7 @@ def bmz_minimize(
 
     f = cost(g, theta)
     grad = cost_gradient(g, theta)
-    radius = cfg.tr_radius_init
+    radius = _RADIUS_INIT
     if callback is not None:
         callback(theta.copy(), f)
 
@@ -142,10 +140,10 @@ def bmz_minimize(
         actual = f - f_trial
         ratio = actual / pred if pred > 0.0 else -np.inf
 
-        if ratio < cfg.accept_ratio_lo:
+        if ratio < _ACCEPT_RATIO_LO:
             radius *= 0.25
-        elif ratio > cfg.accept_ratio_hi and np.linalg.norm(p) >= 0.99 * radius:
-            radius = min(2.0 * radius, cfg.tr_radius_max)
+        elif ratio > _ACCEPT_RATIO_HI and np.linalg.norm(p) >= 0.99 * radius:
+            radius = min(2.0 * radius, _RADIUS_MAX)
 
         if actual > 0.0:
             theta = theta_trial

@@ -6,9 +6,7 @@ turns Max-Cut into unconstrained minimization of
     f(t) = sum_edges w_ij * cos(t_i - t_j),
 
 the antiferromagnetic planar rotor energy. This module evaluates f, its
-analytic gradient and sparse Hessian, and a dense quantum-mechanical
-cross-check: f(t) equals the expectation of the Heisenberg XZ Hamiltonian
-in the product state with Bloch vectors (sin t_i, 0, cos t_i).
+analytic gradient and its sparse Hessian.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ from scipy import sparse
 from .graph import Graph
 
 TWO_PI = 2.0 * np.pi
-
-# Dense 2^n x 2^n construction; past this the oracle is pointless.
-HEISENBERG_MAX_NODES = 10
 
 
 def wrap_angles(theta) -> np.ndarray:
@@ -38,14 +33,21 @@ def _check_config(g: Graph, theta) -> np.ndarray:
     return theta
 
 
-def cost(g: Graph, theta) -> float:
+def cost(g: Graph, theta) -> float | np.ndarray:
     """Rotor energy sum_edges w_ij * cos(t_i - t_j).
 
+    One configuration of shape (n,) gives a float; a batch (K, n) gives an
+    array of shape (K,), each entry equal to the single-configuration value.
     Invariant under global rotation t -> t + phi and reflection t -> -t.
     """
-    theta = _check_config(g, theta)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != g.n:
+        raise ValueError(f"rotor configs of shape {theta.shape} do not match n={g.n}")
     ii, jj, ww = g.edge_arrays
-    return float((ww * np.cos(theta[ii] - theta[jj])).sum())
+    # take keeps every gathered row contiguous, so each row sums exactly as
+    # a single configuration does
+    e = (ww * np.cos(theta.take(ii, axis=-1) - theta.take(jj, axis=-1))).sum(axis=-1)
+    return float(e) if theta.ndim == 1 else e
 
 
 def cost_gradient(g: Graph, theta) -> np.ndarray:
@@ -77,43 +79,3 @@ def cost_hessian(g: Graph, theta) -> sparse.csr_array:
     data = np.concatenate([c, c, diag])[order]
     return sparse.csr_array((data, indices, indptr), shape=(g.n, g.n))
 
-
-def _kron_chain(factors: list[np.ndarray]) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-def heisenberg_expectation(g: Graph, theta) -> float:
-    """tr(H rho) for H = sum w_ij (X_i X_j + Z_i Z_j) and the product state
-    rho = prod (I + sin(t_i) X_i + cos(t_i) Z_i)/2, built as dense matrices.
-
-    Agrees with cost(g, theta) to near machine precision; kept as an
-    independent cross-check, hence the deliberately direct construction.
-    Guarded at n <= 10.
-    """
-    theta = _check_config(g, theta)
-    if g.n > HEISENBERG_MAX_NODES:
-        raise ValueError(
-            f"n={g.n} too large for dense construction (max {HEISENBERG_MAX_NODES})"
-        )
-    eye = np.eye(2)
-    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pauli_z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-    dim = 1 << g.n
-    ham = np.zeros((dim, dim))
-    for i, j, w in g.edges:
-        for op in (pauli_x, pauli_z):
-            factors = [op if k in (i, j) else eye for k in range(g.n)]
-            ham += w * _kron_chain(factors)
-
-    rho = _kron_chain(
-        [
-            0.5 * (eye + np.sin(t) * pauli_x + np.cos(t) * pauli_z)
-            for t in theta
-        ]
-    )
-    # both matrices are real symmetric, so tr(H rho) = sum(H * rho)
-    return float(np.sum(ham * rho))

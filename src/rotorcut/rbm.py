@@ -86,11 +86,11 @@ def bessel_ratio(x):
 
 
 def visible_vectors(theta) -> np.ndarray:
-    """Unit vectors (cos t_j, sin t_j), shape (n, 2)."""
+    """Unit vectors (cos t_j, sin t_j): angles of shape (..., n) give (..., n, 2)."""
     theta = np.asarray(theta, dtype=float)
-    v = np.empty((theta.size, 2))
-    np.cos(theta, out=v[:, 0])
-    np.sin(theta, out=v[:, 1])
+    v = np.empty(theta.shape + (2,))
+    np.cos(theta, out=v[..., 0])
+    np.sin(theta, out=v[..., 1])
     return v
 
 
@@ -155,52 +155,57 @@ class RbmParams:
         return cls(a=a.copy(), b=b.copy(), c=c.copy())
 
 
-def hidden_fields(p: RbmParams, theta) -> np.ndarray:
-    """Effective fields u_i = b_i + sum_j a_ij v_j, shape (m, 2)."""
-    v = visible_vectors(theta)
-    if v.shape[0] != p.n:
-        raise ValueError(f"rotor config length {v.shape[0]} does not match n={p.n}")
-    return p.b + p.a @ v
-
-
-def _fields_and_norms(p: RbmParams, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(v, u, |u_i|) for one configuration; raises ValueError on a length
-    mismatch or a non-finite angle.
+def _fields(p: RbmParams, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, u, |u_i|) for one configuration (n,) or a batch (K, n): shapes
+    (..., n, 2), (..., m, 2) and (..., m), with u = b + a v the effective
+    fields. Raises ValueError on any other shape or a non-finite angle.
 
     The parameters are finite by construction, so a finite theta gives
     finite, nonnegative norms and the Bessel helpers need no further
     checks; one check here replaces theirs on the sampling hot path.
     """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != p.n:
+        raise ValueError(f"rotor configs of shape {theta.shape} do not match n={p.n}")
     v = visible_vectors(theta)
-    if v.shape[0] != p.n:
-        raise ValueError(f"rotor config length {v.shape[0]} does not match n={p.n}")
     u = p.b + p.a @ v
-    sq = np.add.reduce(u * u, axis=1)
+    sq = np.add.reduce(u * u, axis=-1)
     if not np.isfinite(sq.sum()):
         raise ValueError("rotor angles must be finite")
     return v, u, np.sqrt(sq)
 
 
 def log_psi(p: RbmParams, theta) -> float:
-    """Closed-form log wavefunction; see module docstring."""
-    v, _, norms = _fields_and_norms(p, theta)
+    """Closed-form log wavefunction of one configuration; see module docstring."""
+    v, _, norms = _fields(p, theta)
+    if v.ndim != 2:
+        raise ValueError("log_psi scores one configuration of shape (n,)")
     return float((p.c * v).sum() + p.m * _LOG_TWO_PI + _log_i0(norms).sum())
 
 
 def log_derivatives(p: RbmParams, theta) -> np.ndarray:
     """Packed gradient of log psi in the parameters.
 
+    One configuration of shape (n,) gives shape (P,); a batch (K, n) gives
+    (K, P), each row equal to the single-configuration result.
     d/dc_j = v_j; d/db_i = r(|u_i|) * u_i/|u_i|; d/da_ij = <d/db_i, v_j>,
     with r = bessel_ratio. A vanishing hidden field is the analytic limit:
     r(x)/x -> 1/2, so the b and a blocks of that unit are exactly zero.
     """
-    v, u, norms = _fields_and_norms(p, theta)
-    factor = np.zeros(p.m)
+    v, u, norms = _fields(p, theta)
+    factor = np.zeros(norms.shape)
     nz = norms > 0.0
     factor[nz] = _ratio(norms[nz]) / norms[nz]
-    db = factor[:, None] * u                  # (m, 2)
-    da = db @ v.T                             # (m, n)
-    return np.concatenate([da.ravel(), db.ravel(), v.ravel()])
+    db = factor[..., None] * u                # (..., m, 2)
+    lead, mn = v.shape[:-2], p.m * p.n
+    # the blocks go straight into the result: a separate da and a
+    # concatenated copy would be transients as large as a batch's result,
+    # and on P = 2700 their page faults cost more than batching saves
+    out = np.empty(lead + (p.n_params,))
+    np.matmul(db, v.swapaxes(-1, -2), out=out[..., :mn].reshape(*lead, p.m, p.n))
+    out[..., mn : mn + 2 * p.m] = db.reshape(*lead, -1)
+    out[..., mn + 2 * p.m :] = v.reshape(*lead, -1)
+    return out
 
 
 def _hidden_count(n: int, alpha: float) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
@@ -27,6 +27,9 @@ from .graph import Graph
 from .objective import TWO_PI, cost
 from .rbm import RbmParams, log_derivatives, log_psi
 
+# MINRES stops once the residual falls below this fraction of |grad|
+_MINRES_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class VmcConfig:
@@ -34,8 +37,7 @@ class VmcConfig:
 
     n_samp Metropolis steps are taken per iteration and the first n_warm
     are discarded from the estimators, so every batch keeps
-    n_samp - n_warm >= 2 samples. minres_max_iter of None means "number of
-    parameters".
+    n_samp - n_warm >= 2 samples.
     """
 
     n_samp: int = 40
@@ -45,8 +47,6 @@ class VmcConfig:
     learning_rate: float = 0.01
     alpha: float = 1.0
     proposal_step: float = 0.3
-    minres_tol: float = 1e-10
-    minres_max_iter: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -64,10 +64,6 @@ class VmcConfig:
             raise ValueError("alpha must be positive")
         if self.proposal_step <= 0:
             raise ValueError("proposal_step must be positive")
-        if self.minres_tol <= 0:
-            raise ValueError("minres_tol must be positive")
-        if self.minres_max_iter is not None and self.minres_max_iter < 1:
-            raise ValueError("minres_max_iter must be >= 1 when given")
 
 
 @dataclass
@@ -161,14 +157,14 @@ def sample_batch(
     """Advance the chain n_samp steps, keeping the last n_samp - n_warm.
 
     Warm steps are discarded without evaluating derivatives or energies.
-    A rejected step leaves the walker where it was, so its row repeats the
-    previous kept one instead of being evaluated again. The returned chain
+    A rejected step leaves the walker where it was, so only the kept rows
+    where it moved (and the first kept row) are evaluated, in one batch;
+    every other row repeats the last evaluated one. The returned chain
     continues from where the segment ended.
     """
     n_keep = cfg.n_samp - cfg.n_warm
     samples = np.empty((n_keep, p.n))
-    o_matrix = np.empty((n_keep, p.n_params))
-    e_loc = np.empty(n_keep)
+    moved = np.empty(n_keep, dtype=bool)
     accepts = 0
     for k in range(cfg.n_samp):
         s = mh_step(p, s, cfg.proposal_step)
@@ -176,16 +172,14 @@ def sample_batch(
         idx = k - cfg.n_warm
         if idx >= 0:
             samples[idx] = s.theta
-            if idx > 0 and not s.accepted:
-                o_matrix[idx] = o_matrix[idx - 1]
-                e_loc[idx] = e_loc[idx - 1]
-            else:
-                o_matrix[idx] = log_derivatives(p, s.theta)
-                e_loc[idx] = cost(g, s.theta)
+            moved[idx] = s.accepted
+    moved[0] = True
+    distinct = samples[moved]
+    last_moved = np.cumsum(moved) - 1
     batch = SrBatch(
         samples=samples,
-        o_matrix=o_matrix,
-        e_loc=e_loc,
+        o_matrix=log_derivatives(p, distinct)[last_moved],
+        e_loc=cost(g, distinct)[last_moved],
         accept_rate=accepts / cfg.n_samp,
     )
     return batch, s
@@ -263,12 +257,11 @@ def sr_iteration(
     """
     batch, chain = sample_batch(g, p, chain, cfg)
     e_mean, force, _ = estimate_forces(batch)
-    max_iter = cfg.minres_max_iter if cfg.minres_max_iter is not None else p.n_params
     delta, residual, _ = minres_solve(
         lambda v: apply_metric(batch, v, cfg.lambda_reg),
         force,
-        cfg.minres_tol,
-        max_iter,
+        _MINRES_TOL,
+        p.n_params,
     )
     updated = RbmParams.unpack(p.pack() - cfg.learning_rate * delta, p.n, p.m)
     k = int(np.argmin(batch.e_loc))

@@ -3,8 +3,9 @@
 Everything here is written from the mathematical definitions, on purpose
 avoiding the package's own code paths: plain-Python enumeration for cuts,
 central finite differences for derivatives, trapezoid quadrature for the
-wavefunction integral, mpmath for Bessel functions, and dense linear
-algebra for the SR metric. The dense Procedure-Cut and the triplet-form
+wavefunction integral, mpmath for Bessel functions, dense linear algebra
+for the SR metric, and the dense 2^n x 2^n Heisenberg expectation that the
+rotor cost must equal. The dense Procedure-Cut and the triplet-form
 Hessian are the package's former implementations, kept to cross-check
 the sorted sweep and the cached CSR structure that replaced them; both
 share only the input normalisation (wrap_angles) and cut_value with the
@@ -23,6 +24,9 @@ mpmath.mp.dps = 50
 
 TWO_PI = 2.0 * np.pi
 
+# Dense 2^n x 2^n construction; past this the oracle is pointless.
+HEISENBERG_MAX_NODES = 10
+
 
 def enumerate_max_cut(n, edges):
     """Exhaustive Max-Cut by trying every labeling with x[0] fixed to +1."""
@@ -39,6 +43,49 @@ def enumerate_max_cut(n, edges):
 
 def rotor_cost(edges, theta):
     return sum(w * np.cos(theta[i] - theta[j]) for i, j, w in edges)
+
+
+def _kron_chain(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def heisenberg_expectation(g, theta):
+    """tr(H rho) for H = sum w_ij (X_i X_j + Z_i Z_j) and the product state
+    rho = prod (I + sin(t_i) X_i + cos(t_i) Z_i)/2, built as dense matrices.
+
+    Agrees with the rotor cost to near machine precision; the deliberately
+    direct construction is what makes it an independent cross-check.
+    Guarded at n <= 10.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (g.n,):
+        raise ValueError(f"rotor config length {theta.shape} does not match n={g.n}")
+    if g.n > HEISENBERG_MAX_NODES:
+        raise ValueError(
+            f"n={g.n} too large for dense construction (max {HEISENBERG_MAX_NODES})"
+        )
+    eye = np.eye(2)
+    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    pauli_z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+    dim = 1 << g.n
+    ham = np.zeros((dim, dim))
+    for i, j, w in g.edges:
+        for op in (pauli_x, pauli_z):
+            factors = [op if k in (i, j) else eye for k in range(g.n)]
+            ham += w * _kron_chain(factors)
+
+    rho = _kron_chain(
+        [
+            0.5 * (eye + np.sin(t) * pauli_x + np.cos(t) * pauli_z)
+            for t in theta
+        ]
+    )
+    # both matrices are real symmetric, so tr(H rho) = sum(H * rho)
+    return float(np.sum(ham * rho))
 
 
 def fd_gradient(f, x, h=1e-5):

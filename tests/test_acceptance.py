@@ -22,7 +22,6 @@ from rotorcut import (
     cost,
     cost_gradient,
     generate_graph,
-    heisenberg_expectation,
     init_pretrained,
     init_random,
     log_bessel_i0,
@@ -35,7 +34,13 @@ from rotorcut import (
     run_vmc,
 )
 from rotorcut.vmc import SrBatch
-from oracles import dense_sr_metric, mp_bessel_ratio, mp_log_i0, quadrature_log_psi
+from oracles import (
+    dense_sr_metric,
+    heisenberg_expectation,
+    mp_bessel_ratio,
+    mp_log_i0,
+    quadrature_log_psi,
+)
 
 BIG_SEED = 2024
 

@@ -93,10 +93,6 @@ def test_config_validation():
         BmzConfig(max_iters=0)
     with pytest.raises(ValueError):
         BmzConfig(grad_tol=-1.0)
-    with pytest.raises(ValueError):
-        BmzConfig(tr_radius_init=0.0)
-    with pytest.raises(ValueError):
-        BmzConfig(accept_ratio_lo=0.8, accept_ratio_hi=0.3)
 
 
 def test_shape_mismatch(k3):

@@ -6,10 +6,15 @@ from rotorcut import (
     cost_gradient,
     cost_hessian,
     generate_graph,
-    heisenberg_expectation,
     wrap_angles,
 )
-from oracles import fd_gradient, fd_hessian_column, rotor_cost, triplet_hessian
+from oracles import (
+    fd_gradient,
+    fd_hessian_column,
+    heisenberg_expectation,
+    rotor_cost,
+    triplet_hessian,
+)
 
 
 def random_instances(count, n_range=(3, 9), seed=0):
@@ -39,6 +44,23 @@ def test_cost_invariant_under_global_rotation():
     for g, theta in random_instances(5, seed=4):
         shift = 1.2345
         assert cost(g, theta + shift) == pytest.approx(cost(g, theta), rel=1e-12)
+
+
+def test_batched_cost_equals_stacked():
+    rng = np.random.default_rng(12)
+    big = generate_graph(50, 619, weight_mode=(0.0, 15.0), seed=2024)
+    cases = [(g, 5) for g, _ in random_instances(4, seed=9)] + [(big, 1), (big, 40)]
+    for g, k in cases:
+        thetas = rng.uniform(0.0, 2.0 * np.pi, (k, g.n))
+        batch = cost(g, thetas)
+        assert batch.shape == (k,)
+        np.testing.assert_array_equal(batch, [cost(g, t) for t in thetas])
+
+
+def test_cost_rejects_bad_shapes(k3):
+    for bad in (np.zeros(()), np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError):
+            cost(k3, bad)
 
 
 def test_gradient_matches_finite_differences():

@@ -6,7 +6,6 @@ import pytest
 from rotorcut import (
     RbmParams,
     bessel_ratio,
-    hidden_fields,
     init_pretrained,
     init_random,
     load_params,
@@ -16,6 +15,7 @@ from rotorcut import (
     save_params,
     visible_vectors,
 )
+from rotorcut.rbm import _fields
 from oracles import mp_bessel_ratio, mp_log_i0, quadrature_log_psi
 
 
@@ -116,12 +116,19 @@ def test_params_shape_validation():
 
 def test_hidden_fields_formula():
     p = random_params(3, 2, seed=2)
-    theta = np.array([0.3, 2.0, 5.5])
-    u = hidden_fields(p, theta)
-    v = visible_vectors(theta)
-    for i in range(2):
-        expected = p.b[i] + sum(p.a[i, j] * v[j] for j in range(3))
-        np.testing.assert_allclose(u[i], expected, rtol=1e-14)
+    thetas = np.array([[0.3, 2.0, 5.5], [1.0, 4.0, 0.2]])
+    for theta in thetas:
+        _, u, norms = _fields(p, theta)
+        v = visible_vectors(theta)
+        for i in range(2):
+            expected = p.b[i] + sum(p.a[i, j] * v[j] for j in range(3))
+            np.testing.assert_allclose(u[i], expected, rtol=1e-14)
+        np.testing.assert_allclose(norms, np.linalg.norm(u, axis=1), rtol=1e-15)
+    v, u, norms = _fields(p, thetas)
+    assert (v.shape, u.shape, norms.shape) == ((2, 3, 2), (2, 2, 2), (2, 2))
+    for k, theta in enumerate(thetas):
+        for got, want in zip((v[k], u[k], norms[k]), _fields(p, theta)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_log_psi_matches_quadrature():
@@ -165,6 +172,40 @@ def test_zero_hidden_field_derivatives():
     derivs = log_derivatives(p, theta)
     np.testing.assert_array_equal(derivs[: m * n + 2 * m], 0.0)
     np.testing.assert_allclose(derivs[m * n + 2 * m :], visible_vectors(theta).ravel())
+
+
+def test_batched_log_derivatives_equal_stacked():
+    rng = np.random.default_rng(9)
+    # hidden unit 1 has a = 0 and b = 0, so its field vanishes everywhere
+    q = random_params(4, 3, seed=9)
+    a, b = q.a.copy(), q.b.copy()
+    a[1] = 0.0
+    b[1] = 0.0
+    q = RbmParams(a=a, b=b, c=q.c)
+    big = init_random(50, seed=[0, 1])    # P = 2700, as on the 50-node graph
+    for p, k in ((q, 6), (q, 1), (big, 40)):
+        thetas = rng.uniform(0.0, 2.0 * np.pi, (k, p.n))
+        batch = log_derivatives(p, thetas)
+        assert batch.shape == (k, p.n_params)
+        np.testing.assert_array_equal(
+            batch, np.stack([log_derivatives(p, t) for t in thetas])
+        )
+    m, n = q.m, q.n
+    zero_unit = log_derivatives(q, rng.uniform(0.0, 2.0 * np.pi, (3, n)))
+    np.testing.assert_array_equal(zero_unit[:, n : 2 * n], 0.0)
+    np.testing.assert_array_equal(zero_unit[:, m * n + 2 : m * n + 4], 0.0)
+
+
+def test_log_psi_and_derivatives_reject_bad_shapes():
+    p = random_params(3, 2, seed=3)
+    for bad in (np.zeros(()), np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError):
+            log_derivatives(p, bad)
+        with pytest.raises(ValueError):
+            log_psi(p, bad)
+    # log_psi scores one configuration, never a batch
+    with pytest.raises(ValueError):
+        log_psi(p, np.zeros((2, 3)))
 
 
 def test_init_random():

@@ -9,6 +9,7 @@ from rotorcut import (
     cost,
     estimate_forces,
     init_random,
+    log_derivatives,
     log_psi,
     mh_step,
     minres_solve,
@@ -45,8 +46,6 @@ def test_config_validation():
         VmcConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         VmcConfig(proposal_step=0.0)
-    with pytest.raises(ValueError):
-        VmcConfig(minres_max_iter=0)
 
 
 def test_chain_init_deterministic():
@@ -86,8 +85,30 @@ def test_sample_batch_shapes_and_warm_discard(k3):
     assert 0.0 <= batch.accept_rate <= 1.0
     assert not np.array_equal(s.theta, s2.theta) or s2.log_psi == s.log_psi
     np.testing.assert_array_equal(batch.samples[-1], s2.theta)
-    for row, theta in zip(batch.e_loc, batch.samples):
-        assert row == pytest.approx(cost(k3, theta), rel=1e-12)
+    assert_rows_evaluated(k3, p, batch)
+
+    # a first kept step that is rejected must still be evaluated: find a
+    # chain seed whose step n_warm + 1 is rejected, then sample from it
+    p = init_random(3, sigma=2.0, seed=4)
+    cfg = VmcConfig(n_samp=6, n_warm=2, n_iter=1, proposal_step=3.0)
+    for seed in range(100):
+        s = chain_init(p, seed=seed)
+        for _ in range(cfg.n_warm):
+            s = mh_step(p, s, cfg.proposal_step)
+        warm_end = s.theta
+        if not mh_step(p, s, cfg.proposal_step).accepted:
+            break
+    else:
+        pytest.fail("no seed rejects the first kept step")
+    batch, _ = sample_batch(k3, p, chain_init(p, seed=seed), cfg)
+    np.testing.assert_array_equal(batch.samples[0], warm_end)
+    assert_rows_evaluated(k3, p, batch)
+
+
+def assert_rows_evaluated(g, p, batch):
+    for theta, o_row, e in zip(batch.samples, batch.o_matrix, batch.e_loc):
+        np.testing.assert_array_equal(o_row, log_derivatives(p, theta))
+        assert e == cost(g, theta)
 
 
 def test_estimate_forces_matches_direct():
