@@ -43,15 +43,10 @@ from .rbm import (
     visible_vectors,
 )
 from .vmc import (
-    ChainState,
     RunTrace,
-    SrBatch,
     VmcConfig,
-    apply_metric,
     chain_init,
     estimate_forces,
-    mh_step,
-    minres_solve,
     run_vmc,
     sample_batch,
     sr_iteration,
@@ -61,17 +56,14 @@ from .vmc import (
 
 __all__ = [
     "BmzConfig",
-    "ChainState",
     "ExperimentSpec",
     "Graph",
     "GraphFormatError",
     "RbmParams",
     "RunTrace",
     "SeedStats",
-    "SrBatch",
     "VmcConfig",
     "aggregate",
-    "apply_metric",
     "bessel_ratio",
     "bmz_minimize",
     "brute_force_max_cut",
@@ -88,8 +80,6 @@ __all__ = [
     "log_bessel_i0",
     "log_derivatives",
     "log_psi",
-    "mh_step",
-    "minres_solve",
     "parse_edge_list",
     "procedure_cut",
     "random_start",

@@ -14,8 +14,8 @@ from scipy import special
 from rotorcut import (
     RbmParams,
     VmcConfig,
-    apply_metric,
     bessel_ratio,
+    estimate_forces,
     bmz_minimize,
     brute_force_max_cut,
     chain_init,
@@ -27,13 +27,11 @@ from rotorcut import (
     log_bessel_i0,
     log_derivatives,
     log_psi,
-    mh_step,
-    minres_solve,
     procedure_cut,
     random_start,
     run_vmc,
 )
-from rotorcut.vmc import SrBatch
+from rotorcut.vmc import SrBatch, apply_metric, mh_step, minres_solve, sr_solve
 from oracles import (
     dense_sr_metric,
     heisenberg_expectation,
@@ -168,9 +166,13 @@ def test_analytic_derivatives():
 def test_sr_machinery():
     # matrix-free metric application matches dense assembly to 1e-12;
     # MINRES matches direct solves to 1e-9 on random SPD 20x20 systems;
+    # the exact SR solve matches direct dense solves to 1e-9, on the
+    # parameter side (N > P) at every lambda and on the sample side
+    # (N < P) where the dense metric is well conditioned;
     # the metric operator is symmetric and PSD on 100 random vectors
     rng = np.random.default_rng(404)
     worst_metric = 0.0
+    worst_exact = 0.0
     for lam in (0.0, 1e-9, 1e-6, 0.1):
         o = rng.normal(0.0, 1.0, (30, 18))
         batch = SrBatch(
@@ -183,6 +185,10 @@ def test_sr_machinery():
             err = np.max(np.abs(apply_metric(batch, x, lam) - dense @ x))
             worst_metric = max(worst_metric, err)
             assert err <= 1e-12
+        _, force, _ = estimate_forces(batch)
+        err = np.max(np.abs(sr_solve(batch, force, lam)[0] - np.linalg.solve(dense, force)))
+        worst_exact = max(worst_exact, err)
+        assert err <= 1e-9
 
     worst_solve = 0.0
     for _ in range(5):
@@ -205,9 +211,22 @@ def test_sr_machinery():
         sym = abs(x @ apply_metric(batch, y, 1e-8) - y @ apply_metric(batch, x, 1e-8))
         assert sym <= 1e-10
         assert x @ apply_metric(batch, x, 0.0) >= -1e-12
+
+    for _ in range(5):
+        o = rng.normal(0.0, 1.0, (18, 30))
+        batch = SrBatch(
+            samples=np.zeros((18, 3)), o_matrix=o,
+            e_loc=rng.normal(0.0, 1.0, 18), accept_rate=0.5,
+        )
+        _, force, _ = estimate_forces(batch)
+        direct = np.linalg.solve(dense_sr_metric(o, 0.1), force)
+        err = np.max(np.abs(sr_solve(batch, force, 0.1)[0] - direct))
+        worst_exact = max(worst_exact, err)
+        assert err <= 1e-9
     print(
         f"\nPASS SR machinery: metric vs dense {worst_metric:.2e} <= 1e-12, "
-        f"MINRES vs direct {worst_solve:.2e} <= 1e-9, symmetry/PSD 100/100"
+        f"MINRES vs direct {worst_solve:.2e} <= 1e-9, "
+        f"exact SR solve vs direct {worst_exact:.2e} <= 1e-9, symmetry/PSD 100/100"
     )
 
 

@@ -104,3 +104,16 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     code = main(["run", str(path), "--n-samp", "1"])
     assert code == 2
     assert "n_samp" in capsys.readouterr().err
+
+
+def test_numerical_failure_is_reported(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise FloatingPointError("non-finite values in the SR solution")
+
+    monkeypatch.setattr("rotorcut.vmc.sr_solve", fail)
+    path = tmp_path / "k3.txt"
+    path.write_text(K3_TEXT)
+    code = main(["run", str(path), "--solver", "nqs", "--seeds", "0",
+                 "--n-samp", "10", "--n-iter", "5"])
+    assert code == 2
+    assert "error: non-finite values in the SR solution" in capsys.readouterr().err

@@ -4,22 +4,19 @@ import pytest
 from rotorcut import (
     RbmParams,
     VmcConfig,
-    apply_metric,
     chain_init,
     cost,
     estimate_forces,
     init_random,
     log_derivatives,
     log_psi,
-    mh_step,
-    minres_solve,
     run_vmc,
     sample_batch,
     sr_iteration,
     trace_summary,
     write_trace_csv,
 )
-from rotorcut.vmc import SrBatch
+from rotorcut.vmc import SrBatch, apply_metric, mh_step, minres_solve, sr_solve
 from oracles import dense_sr_metric, direct_forces
 
 
@@ -124,7 +121,7 @@ def test_constant_energy_gives_zero_force():
     batch = make_batch(30, 8, seed=7)
     flat = SrBatch(batch.samples, batch.o_matrix, np.full(30, 2.5), 0.5)
     _, grad, _ = estimate_forces(flat)
-    np.testing.assert_allclose(grad, 0.0, atol=1e-12)
+    np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_estimate_forces_needs_two_samples():
@@ -190,6 +187,67 @@ def test_minres_singular_metric_consistent_system():
         lambda v: apply_metric(batch, v, lam), rhs, 1e-10, 200
     )
     assert residual <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
+
+
+def repeated_rows_batch(n_rows, n_params, seed):
+    # rejected Metropolis steps repeat the previous row and its energy
+    batch = make_batch(n_rows, n_params, seed)
+    src = np.repeat(np.arange(0, n_rows, 3), 3)[:n_rows]
+    return SrBatch(batch.samples[src], batch.o_matrix[src], batch.e_loc[src], 0.3)
+
+
+SR_SHAPES = [(12, 30), (20, 20), (40, 15)]
+SR_LAMBDAS = [0.0, 1e-9, 1e-6, 0.1]
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+@pytest.mark.parametrize("lam", SR_LAMBDAS)
+@pytest.mark.parametrize("shape", SR_SHAPES)
+def test_sr_solve_residual_and_dense_oracle(shape, lam, repeated):
+    n_rows, n_params = shape
+    seed = 20 + n_rows
+    batch = (repeated_rows_batch if repeated else make_batch)(n_rows, n_params, seed)
+    _, force, _ = estimate_forces(batch)
+    delta, residual = sr_solve(batch, force, lam)
+    assert delta.shape == (n_params,)
+    direct = np.linalg.norm(apply_metric(batch, delta, lam) - force)
+    assert residual == direct
+    assert residual <= 1e-10 * np.linalg.norm(force)
+    if lam == 0.1:
+        dense = np.linalg.solve(dense_sr_metric(batch.o_matrix, lam), force)
+        np.testing.assert_allclose(delta, dense, rtol=1e-9, atol=1e-9 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("shape", SR_SHAPES)
+def test_sr_solve_lambda_zero_is_minimum_norm(shape):
+    # at lam = 0 the metric is singular (centring removes one direction,
+    # repeated rows more); the solve must return the pseudo-inverse solution
+    batch = repeated_rows_batch(*shape, seed=30)
+    _, force, _ = estimate_forces(batch)
+    delta, _ = sr_solve(batch, force, 0.0)
+    ref = np.linalg.lstsq(dense_sr_metric(batch.o_matrix, 0.0), force, rcond=1e-10)[0]
+    np.testing.assert_allclose(delta, ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", SR_SHAPES)
+def test_sr_solve_constant_energy_gives_zero_step(shape):
+    batch = make_batch(*shape, seed=31)
+    flat = SrBatch(batch.samples, batch.o_matrix, np.full(shape[0], 2.5), 0.5)
+    _, force, _ = estimate_forces(flat)
+    delta, residual = sr_solve(flat, force, 1e-6)
+    np.testing.assert_array_equal(delta, 0.0)
+    assert residual == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", SR_SHAPES)
+def test_sr_solve_rejects_non_finite(shape, bad):
+    batch = make_batch(*shape, seed=32)
+    o = batch.o_matrix.copy()
+    o[1, 2] = bad
+    broken = SrBatch(batch.samples, o, batch.e_loc, 0.5)
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        sr_solve(broken, np.ones(shape[1]), 1e-6)
 
 
 def test_sr_iteration_moves_params(k3):
