@@ -4,12 +4,14 @@ One optimization step samples the density pi(t) ~ exp(2 log psi(t)) with a
 random-walk Metropolis chain, estimates the energy gradient from the
 covariance of local energies with the log-derivatives O_k, solves the
 regularized stochastic-reconfiguration system (S + lambda I) d = grad
-exactly, and moves the packed parameters against d. S has rank below the
-number of kept samples N, so when N is smaller than the parameter count P
-the solve runs in sample space: one eigendecomposition of an N x N Gram
-matrix gives the update (the minSR identity). The local energy is exactly
-the rotor cost: the Hamiltonian is diagonal, so there is no kinetic
-contribution.
+exactly, and moves the packed parameters against d. A rejected step leaves
+the walker where it was, so a batch holds one row per distinct walker
+position and a count of the kept steps spent there; every estimator is the
+count-weighted form on those K rows. S has rank below K, so when K is
+smaller than the parameter count P the solve runs in sample space: one
+eigendecomposition of a K x K Gram matrix gives the update (the minSR
+identity). The local energy is exactly the rotor cost: the Hamiltonian is
+diagonal, so there is no kinetic contribution.
 
 The chain persists across iterations; each batch discards its first n_warm
 steps so the walkers relax after every parameter update.
@@ -82,27 +84,46 @@ class ChainState:
 
 @dataclass(frozen=True)
 class SrBatch:
-    """Samples kept from one iteration's chain segment.
+    """Distinct walker positions kept from one iteration's chain segment.
 
-    o_matrix rows are packed log-derivatives, e_loc the rotor cost, both
-    aligned 1:1 with `samples`. accept_rate covers the whole segment,
-    warm steps included.
+    Row k is a position the walker held for counts[k] consecutive kept
+    steps, so the kept samples are np.repeat(samples, counts, axis=0) and
+    N = counts.sum(). o_matrix rows are packed log-derivatives, e_loc the
+    rotor cost, both aligned 1:1 with `samples`. Every estimator weights
+    row k by counts[k] / N. accept_rate covers the whole segment, warm
+    steps included.
     """
 
-    samples: np.ndarray    # (N, n)
-    o_matrix: np.ndarray   # (N, P)
-    e_loc: np.ndarray      # (N,)
+    samples: np.ndarray    # (K, n)
+    o_matrix: np.ndarray   # (K, P)
+    e_loc: np.ndarray      # (K,)
+    counts: np.ndarray     # (K,), kept steps per row, summing to N
     accept_rate: float
+
+    @property
+    def n_kept(self) -> int:
+        """N, the number of kept Metropolis steps."""
+        return int(self.counts.sum())
+
+    @cached_property
+    def e_mean(self) -> float:
+        """Mean energy over the N kept steps, summed in their chain order."""
+        return float(np.repeat(self.e_loc, self.counts).mean())
+
+    @cached_property
+    def o_mean(self) -> np.ndarray:
+        """Count-weighted column mean of o_matrix."""
+        return (self.counts / self.n_kept) @ self.o_matrix
 
     @cached_property
     def centered(self) -> np.ndarray:
-        """o_matrix minus its column means; every metric product reuses it."""
-        return self.o_matrix - self.o_matrix.mean(axis=0)
+        """o_matrix minus o_mean; every metric product reuses it."""
+        return self.o_matrix - self.o_mean
 
     @cached_property
     def energy_weights(self) -> np.ndarray:
-        """y = 2 (e_loc - mean) / N, so that the SR force is centered.T @ y."""
-        return 2.0 * (self.e_loc - self.e_loc.mean()) / self.e_loc.size
+        """y = 2 counts (e_loc - e_mean) / N, so that the SR force is centered.T @ y."""
+        return 2.0 * self.counts * (self.e_loc - self.e_mean) / self.n_kept
 
 
 @dataclass(frozen=True)
@@ -161,29 +182,30 @@ def sample_batch(
     """Advance the chain n_samp steps, keeping the last n_samp - n_warm.
 
     Warm steps are discarded without evaluating derivatives or energies.
-    A rejected step leaves the walker where it was, so only the kept rows
-    where it moved (and the first kept row) are evaluated, in one batch;
-    every other row repeats the last evaluated one. The returned chain
-    continues from where the segment ended.
+    A rejected step leaves the walker where it was, so it adds one to the
+    count of the current row instead of a row of its own: the batch holds
+    the first kept position and every later kept position the walker moved
+    to, evaluated in one log-derivative and one cost call. The returned
+    chain continues from where the segment ended.
     """
-    n_keep = cfg.n_samp - cfg.n_warm
-    samples = np.empty((n_keep, p.n))
-    moved = np.empty(n_keep, dtype=bool)
+    positions, counts = [], []
     accepts = 0
     for k in range(cfg.n_samp):
         s = mh_step(p, s, cfg.proposal_step)
         accepts += s.accepted
-        idx = k - cfg.n_warm
-        if idx >= 0:
-            samples[idx] = s.theta
-            moved[idx] = s.accepted
-    moved[0] = True
-    distinct = samples[moved]
-    last_moved = np.cumsum(moved) - 1
+        if k < cfg.n_warm:
+            continue
+        if s.accepted or not counts:
+            positions.append(s.theta)
+            counts.append(1)
+        else:
+            counts[-1] += 1
+    distinct = np.array(positions)
     batch = SrBatch(
-        samples=samples,
-        o_matrix=log_derivatives(p, distinct)[last_moved],
-        e_loc=cost(g, distinct)[last_moved],
+        samples=distinct,
+        o_matrix=log_derivatives(p, distinct),
+        e_loc=cost(g, distinct),
+        counts=np.array(counts),
         accept_rate=accepts / cfg.n_samp,
     )
     return batch, s
@@ -194,29 +216,30 @@ def estimate_forces(batch: SrBatch) -> tuple[float, np.ndarray, np.ndarray]:
 
     Returns (e_mean, g, o_mean) with g_k = 2*(<e O_k> - <e><O_k>), the
     sampled gradient of E[cost] over the Born density with respect to the
-    packed parameters. g is formed from the centred energies and
-    log-derivatives, so a constant energy gives exactly g = 0.
+    packed parameters, and <O_k> the column mean that centres the metric.
+    Averages run over the N kept steps, each distinct row weighted by its
+    count. g is formed from the centred energies and log-derivatives, so a
+    constant energy gives exactly g = 0.
     """
-    if batch.e_loc.size < 2:
+    if batch.n_kept < 2:
         raise ValueError("batch must contain at least 2 samples")
-    e_mean = float(batch.e_loc.mean())
-    o_mean = batch.o_matrix.mean(axis=0)
     grad = batch.energy_weights @ batch.centered
-    return e_mean, grad, o_mean
+    return batch.e_mean, grad, batch.o_mean
 
 
 def apply_metric(batch: SrBatch, x, lam: float) -> np.ndarray:
     """(S + lam*I) x for the SR metric S = <O O> - <O><O>, matrix-free.
 
-    Uses two passes over the row-centered O matrix, centered once per
-    batch; the P x P matrix is never formed.
+    With X = batch.centered and C = diag(counts), S = X'CX/N: two passes
+    over the K x P matrix X, centred once per batch; the P x P matrix is
+    never formed.
     """
     x = np.asarray(x, dtype=float)
-    n, n_params = batch.o_matrix.shape
+    n_params = batch.o_matrix.shape[1]
     if x.shape != (n_params,):
         raise ValueError(f"vector length {x.shape} does not match P={n_params}")
     centered = batch.centered
-    return centered.T @ (centered @ x) / n + lam * x
+    return centered.T @ (batch.counts * (centered @ x)) / batch.n_kept + lam * x
 
 
 def minres_solve(
@@ -257,21 +280,24 @@ def minres_solve(
 def sr_solve(batch: SrBatch, force, lam: float) -> tuple[np.ndarray, float]:
     """Exact solution d of (S + lam*I) d = force; returns (d, residual).
 
-    With X = batch.centered (N x P), S = X'X/N and force = X'y for
-    y = batch.energy_weights. When N < P the push-through identity
-    (X'X/N + lam I)^-1 X'y = X'(XX'/N + lam I)^-1 y leaves one N x N
+    With X = batch.centered (K x P), C = diag(counts) and W = C^(1/2) X,
+    S = W'W/N and force = X'y = W'z for y = batch.energy_weights and
+    z = C^(-1/2) y. When K < P the push-through identity
+    (W'W/N + lam I)^-1 W'z = W'(WW'/N + lam I)^-1 z leaves one K x K
     system; otherwise the P x P system is solved. The smaller Gram matrix
     is diagonalized with eigh and each sigma_i + lam inverted, except those
     below max(N, P) * eps * sigma_max, which are dropped: at lam = 0 this
     is the pseudo-inverse, the minimum-norm solution. The residual
     |(S + lam*I) d - force| is measured with one apply_metric call.
     """
-    x = batch.centered
-    n, n_params = x.shape
-    if n < n_params:
-        gram, rhs = x @ x.T / n, batch.energy_weights
+    root = np.sqrt(batch.counts)
+    w = root[:, None] * batch.centered
+    k, n_params = w.shape
+    n = batch.n_kept
+    if k < n_params:
+        gram, rhs = w @ w.T / n, batch.energy_weights / root
     else:
-        gram, rhs = x.T @ x / n, np.asarray(force, dtype=float)
+        gram, rhs = w.T @ w / n, np.asarray(force, dtype=float)
     if not np.all(np.isfinite(gram)):
         raise FloatingPointError("non-finite values in the SR metric")
     sigma, u = np.linalg.eigh(gram)
@@ -279,8 +305,8 @@ def sr_solve(batch: SrBatch, force, lam: float) -> tuple[np.ndarray, float]:
     keep = shifted > max(n, n_params) * np.finfo(float).eps * sigma[-1]
     u = u[:, keep]
     delta = u @ ((rhs @ u) / shifted[keep])
-    if n < n_params:
-        delta = delta @ x
+    if k < n_params:
+        delta = delta @ w
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("non-finite values in the SR solution")
     residual = float(np.linalg.norm(apply_metric(batch, delta, lam) - force))

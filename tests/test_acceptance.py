@@ -177,7 +177,7 @@ def test_sr_machinery():
         o = rng.normal(0.0, 1.0, (30, 18))
         batch = SrBatch(
             samples=np.zeros((30, 3)), o_matrix=o,
-            e_loc=rng.normal(0.0, 1.0, 30), accept_rate=0.5,
+            e_loc=rng.normal(0.0, 1.0, 30), counts=np.ones(30, dtype=int), accept_rate=0.5,
         )
         dense = dense_sr_metric(o, lam)
         for _ in range(5):
@@ -203,7 +203,7 @@ def test_sr_machinery():
     o = rng.normal(0.0, 1.0, (25, 12))
     batch = SrBatch(
         samples=np.zeros((25, 3)), o_matrix=o,
-        e_loc=rng.normal(0.0, 1.0, 25), accept_rate=0.5,
+        e_loc=rng.normal(0.0, 1.0, 25), counts=np.ones(25, dtype=int), accept_rate=0.5,
     )
     for _ in range(100):
         x = rng.normal(0.0, 1.0, 12)
@@ -216,7 +216,7 @@ def test_sr_machinery():
         o = rng.normal(0.0, 1.0, (18, 30))
         batch = SrBatch(
             samples=np.zeros((18, 3)), o_matrix=o,
-            e_loc=rng.normal(0.0, 1.0, 18), accept_rate=0.5,
+            e_loc=rng.normal(0.0, 1.0, 18), counts=np.ones(18, dtype=int), accept_rate=0.5,
         )
         _, force, _ = estimate_forces(batch)
         direct = np.linalg.solve(dense_sr_metric(o, 0.1), force)

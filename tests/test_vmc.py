@@ -26,7 +26,17 @@ def make_batch(n_rows, n_params, seed=0):
         samples=rng.uniform(0, 2 * np.pi, (n_rows, 3)),
         o_matrix=rng.normal(0, 1, (n_rows, n_params)),
         e_loc=rng.normal(0, 2, n_rows),
+        counts=np.ones(n_rows, dtype=int),
         accept_rate=0.5,
+    )
+
+
+def expanded(batch):
+    """The same kept steps with one row per step (all counts 1)."""
+    c = batch.counts
+    return SrBatch(
+        np.repeat(batch.samples, c, axis=0), np.repeat(batch.o_matrix, c, axis=0),
+        np.repeat(batch.e_loc, c), np.ones(c.sum(), dtype=int), batch.accept_rate,
     )
 
 
@@ -76,13 +86,16 @@ def test_sample_batch_shapes_and_warm_discard(k3):
     s = chain_init(p, seed=5)
     cfg = VmcConfig(n_samp=7, n_warm=3, n_iter=1)
     batch, s2 = sample_batch(k3, p, s, cfg)
-    assert batch.samples.shape == (4, 3)
-    assert batch.o_matrix.shape == (4, p.n_params)
-    assert batch.e_loc.shape == (4,)
+    n_rows = batch.counts.size
+    assert batch.counts.min() >= 1
+    assert batch.samples.shape == (n_rows, 3)
+    assert batch.o_matrix.shape == (n_rows, p.n_params)
+    assert batch.e_loc.shape == (n_rows,)
     assert 0.0 <= batch.accept_rate <= 1.0
     assert not np.array_equal(s.theta, s2.theta) or s2.log_psi == s.log_psi
     np.testing.assert_array_equal(batch.samples[-1], s2.theta)
     assert_rows_evaluated(k3, p, batch)
+    assert_kept_steps(p, chain_init(p, seed=5), cfg, batch)
 
     # a first kept step that is rejected must still be evaluated: find a
     # chain seed whose step n_warm + 1 is rejected, then sample from it
@@ -99,7 +112,20 @@ def test_sample_batch_shapes_and_warm_discard(k3):
         pytest.fail("no seed rejects the first kept step")
     batch, _ = sample_batch(k3, p, chain_init(p, seed=seed), cfg)
     np.testing.assert_array_equal(batch.samples[0], warm_end)
+    assert batch.counts[0] >= 2
     assert_rows_evaluated(k3, p, batch)
+    assert_kept_steps(p, chain_init(p, seed=seed), cfg, batch)
+
+
+def assert_kept_steps(p, s, cfg, batch):
+    # the rows repeated by their counts are the kept positions, stepped by hand
+    kept = []
+    for k in range(cfg.n_samp):
+        s = mh_step(p, s, cfg.proposal_step)
+        if k >= cfg.n_warm:
+            kept.append(s.theta)
+    assert batch.counts.sum() == cfg.n_samp - cfg.n_warm
+    np.testing.assert_array_equal(np.repeat(batch.samples, batch.counts, axis=0), kept)
 
 
 def assert_rows_evaluated(g, p, batch):
@@ -109,17 +135,20 @@ def assert_rows_evaluated(g, p, batch):
 
 
 def test_estimate_forces_matches_direct():
-    batch = make_batch(50, 12, seed=6)
-    e_mean, grad, o_mean = estimate_forces(batch)
-    ref_mean, ref_grad = direct_forces(batch.o_matrix, batch.e_loc)
-    assert e_mean == pytest.approx(ref_mean, rel=1e-14)
-    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(o_mean, batch.o_matrix.mean(axis=0), rtol=1e-14)
+    for batch in (make_batch(50, 12, seed=6), repeated_rows_batch(50, 12, seed=6)):
+        e_mean, grad, o_mean = estimate_forces(batch)
+        o = np.repeat(batch.o_matrix, batch.counts, axis=0)
+        e = np.repeat(batch.e_loc, batch.counts)
+        ref_mean, ref_grad = direct_forces(o, e)
+        assert e_mean == e.mean()
+        assert e_mean == pytest.approx(ref_mean, rel=1e-14)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(o_mean, o.mean(axis=0), rtol=1e-14)
 
 
 def test_constant_energy_gives_zero_force():
     batch = make_batch(30, 8, seed=7)
-    flat = SrBatch(batch.samples, batch.o_matrix, np.full(30, 2.5), 0.5)
+    flat = SrBatch(batch.samples, batch.o_matrix, np.full(30, 2.5), batch.counts, 0.5)
     _, grad, _ = estimate_forces(flat)
     np.testing.assert_array_equal(grad, 0.0)
 
@@ -127,6 +156,17 @@ def test_constant_energy_gives_zero_force():
 def test_estimate_forces_needs_two_samples():
     with pytest.raises(ValueError):
         estimate_forces(make_batch(1, 4))
+    # a walker that never moved: one distinct row kept for N >= 2 steps
+    # is a valid batch, whose force and step are exactly zero
+    one = make_batch(1, 4, seed=1)
+    for n_kept in (2, 3, 40):
+        batch = SrBatch(one.samples, one.o_matrix, one.e_loc, np.array([n_kept]), 0.0)
+        _, force, _ = estimate_forces(batch)
+        np.testing.assert_array_equal(force, 0.0)
+        for lam in SR_LAMBDAS:
+            delta, residual = sr_solve(batch, force, lam)
+            np.testing.assert_array_equal(delta, 0.0)
+            assert residual == 0.0
 
 
 def test_apply_metric_matches_dense():
@@ -189,11 +229,17 @@ def test_minres_singular_metric_consistent_system():
     assert residual <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
 
 
-def repeated_rows_batch(n_rows, n_params, seed):
-    # rejected Metropolis steps repeat the previous row and its energy
-    batch = make_batch(n_rows, n_params, seed)
-    src = np.repeat(np.arange(0, n_rows, 3), 3)[:n_rows]
-    return SrBatch(batch.samples[src], batch.o_matrix[src], batch.e_loc[src], 0.3)
+def repeated_rows_batch(n_kept, n_params, seed):
+    # rejected Metropolis steps leave the walker in place: about half of
+    # the n_kept steps move, each distinct row counts the steps spent there
+    batch = make_batch(n_kept, n_params, seed)
+    moved = np.random.default_rng(seed).random(n_kept) < 0.5
+    moved[0] = True
+    starts = np.flatnonzero(moved)
+    return SrBatch(
+        batch.samples[starts], batch.o_matrix[starts], batch.e_loc[starts],
+        np.diff(starts, append=n_kept), 0.3,
+    )
 
 
 SR_SHAPES = [(12, 30), (20, 20), (40, 15)]
@@ -214,7 +260,8 @@ def test_sr_solve_residual_and_dense_oracle(shape, lam, repeated):
     assert residual == direct
     assert residual <= 1e-10 * np.linalg.norm(force)
     if lam == 0.1:
-        dense = np.linalg.solve(dense_sr_metric(batch.o_matrix, lam), force)
+        o = np.repeat(batch.o_matrix, batch.counts, axis=0)
+        dense = np.linalg.solve(dense_sr_metric(o, lam), force)
         np.testing.assert_allclose(delta, dense, rtol=1e-9, atol=1e-9 * np.abs(dense).max())
 
 
@@ -225,18 +272,42 @@ def test_sr_solve_lambda_zero_is_minimum_norm(shape):
     batch = repeated_rows_batch(*shape, seed=30)
     _, force, _ = estimate_forces(batch)
     delta, _ = sr_solve(batch, force, 0.0)
-    ref = np.linalg.lstsq(dense_sr_metric(batch.o_matrix, 0.0), force, rcond=1e-10)[0]
+    o = np.repeat(batch.o_matrix, batch.counts, axis=0)
+    ref = np.linalg.lstsq(dense_sr_metric(o, 0.0), force, rcond=1e-10)[0]
     np.testing.assert_allclose(delta, ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("shape", SR_SHAPES)
 def test_sr_solve_constant_energy_gives_zero_step(shape):
     batch = make_batch(*shape, seed=31)
-    flat = SrBatch(batch.samples, batch.o_matrix, np.full(shape[0], 2.5), 0.5)
+    flat = SrBatch(batch.samples, batch.o_matrix, np.full(shape[0], 2.5), batch.counts, 0.5)
     _, force, _ = estimate_forces(flat)
     delta, residual = sr_solve(flat, force, 1e-6)
     np.testing.assert_array_equal(delta, 0.0)
     assert residual == 0.0
+
+
+@pytest.mark.parametrize("lam", SR_LAMBDAS)
+@pytest.mark.parametrize("shape", [(24, 30), (60, 15)])
+def test_compressed_batch_matches_expanded_twin(shape, lam):
+    # K distinct rows with counts against the N rows they stand for:
+    # (24, 30) solves in sample space (K < P), (60, 15) in parameter space
+    batch = repeated_rows_batch(*shape, seed=33)
+    twin = expanded(batch)
+    n_rows, n_params = batch.o_matrix.shape
+    assert n_rows < shape[0] and (n_rows < n_params) == (shape[1] == 30)
+
+    def close(a, b):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    e_mean, force, o_mean = estimate_forces(batch)
+    twin_mean, twin_force, twin_o_mean = estimate_forces(twin)
+    assert e_mean == twin_mean
+    close(force, twin_force)
+    close(o_mean, twin_o_mean)
+    x = np.random.default_rng(34).normal(0, 1, n_params)
+    close(apply_metric(batch, x, lam), apply_metric(twin, x, lam))
+    close(sr_solve(batch, force, lam)[0], sr_solve(twin, twin_force, lam)[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -245,7 +316,7 @@ def test_sr_solve_rejects_non_finite(shape, bad):
     batch = make_batch(*shape, seed=32)
     o = batch.o_matrix.copy()
     o[1, 2] = bad
-    broken = SrBatch(batch.samples, o, batch.e_loc, 0.5)
+    broken = SrBatch(batch.samples, o, batch.e_loc, batch.counts, 0.5)
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         sr_solve(broken, np.ones(shape[1]), 1e-6)
 
