@@ -7,7 +7,14 @@ import sys
 from pathlib import Path
 
 from .bmz import BmzConfig
-from .experiments import ExperimentSpec, run_experiment, run_sweep
+from .experiments import (
+    INIT_MODES,
+    SOLVERS,
+    SWEEP_AXES,
+    ExperimentSpec,
+    run_experiment,
+    run_sweep,
+)
 from .graph import (
     brute_force_max_cut,
     generate_graph,
@@ -48,7 +55,6 @@ def _spec_from_args(args) -> ExperimentSpec:
         n_iter=args.n_iter,
         lambda_reg=args.lambda_reg,
         learning_rate=args.learning_rate,
-        alpha=args.alpha,
         proposal_step=args.step,
     )
     bmz = BmzConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
@@ -59,6 +65,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         vmc=vmc,
         bmz=bmz,
         init=args.init,
+        alpha=args.alpha,
         r=args.r,
         sigma=args.sigma,
         label=args.label,
@@ -85,14 +92,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _spec_from_args(args)
-    if args.axis == "samp_warm":
-        values = [tuple(int(v) for v in tok.split(":")) for tok in args.values.split(",")]
-    elif args.axis == "n_iter":
-        values = [int(tok) for tok in args.values.split(",")]
-    else:
-        values = [float(tok) for tok in args.values.split(",")]
-    table = run_sweep(spec, args.axis, values)
+    values = [tuple(tok.split(":")) for tok in args.values.split(",")]
+    table = run_sweep(_spec_from_args(args), args.axis, values)
     for value, s in table:
         peak = max(e for _, e, _, _ in s.per_seed)
         print(f"{value}: min={s.min:.6f} mean={s.mean:.6f} max={peak:.6f}")
@@ -100,29 +101,31 @@ def cmd_sweep(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    # every default is the config field's own, so it is written once
+    spec, vmc, bmz = ExperimentSpec, VmcConfig, BmzConfig
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--solver", choices=("bmz", "nqs", "both"), default="nqs")
-    p.add_argument("--seeds", default=",".join(str(s) for s in range(10)),
+    p.add_argument("--solver", choices=SOLVERS, default=spec.solver)
+    p.add_argument("--seeds", default=",".join(map(str, spec.seeds)),
                    help="comma-separated seed list")
-    p.add_argument("--n-samp", type=int, default=40)
-    p.add_argument("--n-warm", type=int, default=0)
-    p.add_argument("--n-iter", type=int, default=1000)
-    p.add_argument("--lambda-reg", type=float, default=1e-6)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=0.3,
+    p.add_argument("--n-samp", type=int, default=vmc.n_samp)
+    p.add_argument("--n-warm", type=int, default=vmc.n_warm)
+    p.add_argument("--n-iter", type=int, default=vmc.n_iter)
+    p.add_argument("--lambda-reg", type=float, default=vmc.lambda_reg)
+    p.add_argument("--learning-rate", type=float, default=vmc.learning_rate)
+    p.add_argument("--alpha", type=float, default=spec.alpha)
+    p.add_argument("--step", type=float, default=vmc.proposal_step,
                    help="Metropolis proposal half-width (radians)")
-    p.add_argument("--init", choices=("random", "pretrained"), default="random")
-    p.add_argument("--r", type=float, default=1.0,
+    p.add_argument("--init", choices=INIT_MODES, default=spec.init)
+    p.add_argument("--r", type=float, default=spec.r,
                    help="visible-bias radius for pretrained init")
-    p.add_argument("--sigma", type=float, default=0.1,
+    p.add_argument("--sigma", type=float, default=spec.sigma,
                    help="stddev of random parameter init")
-    p.add_argument("--max-iters", type=int, default=500,
+    p.add_argument("--max-iters", type=int, default=bmz.max_iters,
                    help="BMZ trust-region iteration cap")
-    p.add_argument("--grad-tol", type=float, default=1e-8)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--label", default="experiment")
-    p.add_argument("--out", default=None, help="artifact directory")
+    p.add_argument("--grad-tol", type=float, default=bmz.grad_tol)
+    p.add_argument("--workers", type=int, default=spec.workers)
+    p.add_argument("--label", default=spec.label)
+    p.add_argument("--out", default=spec.out_dir, help="artifact directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep (one axis) over seeds")
     _add_solver_flags(p)
-    p.add_argument("--axis", choices=("n_iter", "samp_warm", "lambda_reg"),
-                   required=True)
+    p.add_argument("--axis", choices=tuple(SWEEP_AXES), required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated grid; samp_warm pairs as samp:warm")
     p.set_defaults(func=cmd_sweep)

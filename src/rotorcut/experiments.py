@@ -14,6 +14,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +27,12 @@ from .vmc import RunTrace, VmcConfig, run_vmc, write_trace_csv
 
 SOLVERS = ("bmz", "nqs", "both")
 INIT_MODES = ("random", "pretrained")
+# sweep axis -> the VmcConfig fields that one grid point sets, in order
+SWEEP_AXES = {
+    "n_iter": ("n_iter",),
+    "samp_warm": ("n_samp", "n_warm"),
+    "lambda_reg": ("lambda_reg",),
+}
 
 
 @dataclass(frozen=True)
@@ -46,9 +53,10 @@ class SeedStats:
 class ExperimentSpec:
     """Everything one campaign needs: graph, solver, configs, seeds, output.
 
-    init="pretrained" starts the RBM hidden-to-visible couplings from a BMZ
-    solution of the same graph (radius r on the visible bias circle); it
-    only affects the nqs stage.
+    The RBM of the nqs stage has round(alpha * n) hidden units and
+    N(0, sigma^2) couplings. init="pretrained" also starts its visible
+    biases from a BMZ solution of the same graph (radius r on the visible
+    bias circle).
     """
 
     graph: Graph
@@ -57,6 +65,7 @@ class ExperimentSpec:
     vmc: VmcConfig = VmcConfig()
     bmz: BmzConfig = BmzConfig()
     init: str = "random"
+    alpha: float = 1.0
     r: float = 1.0
     sigma: float = 0.1
     label: str = "experiment"
@@ -68,6 +77,8 @@ class ExperimentSpec:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
         if self.workers < 1:
@@ -106,12 +117,12 @@ def run_seed(spec: ExperimentSpec, seed: int) -> list[SeedResult]:
     if spec.solver in ("nqs", "both"):
         if spec.init == "pretrained":
             params = init_pretrained(
-                theta_star, alpha=spec.vmc.alpha, r=spec.r,
+                theta_star, alpha=spec.alpha, r=spec.r,
                 sigma=spec.sigma, seed=[seed, 1],
             )
         else:
             params = init_random(
-                g.n, alpha=spec.vmc.alpha, sigma=spec.sigma, seed=[seed, 1]
+                g.n, alpha=spec.alpha, sigma=spec.sigma, seed=[seed, 1]
             )
         cfg = replace(spec.vmc, seed=seed)
         trace = run_vmc(g, cfg, params)
@@ -122,11 +133,6 @@ def run_seed(spec: ExperimentSpec, seed: int) -> list[SeedResult]:
             )
         )
     return rows
-
-
-def _seed_worker(args: tuple[ExperimentSpec, int]) -> list[SeedResult]:
-    spec, seed = args
-    return run_seed(spec, seed)
 
 
 def aggregate(rows: list[SeedResult]) -> SeedStats:
@@ -151,12 +157,11 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, SeedStats]:
     When spec.out_dir is set, writes per-seed NQS trace CSVs, a stats CSV,
     and a JSON summary under it.
     """
-    jobs = [(spec, seed) for seed in spec.seeds]
     if spec.workers == 1:
         results = [run_seed(spec, seed) for seed in spec.seeds]
     else:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_seed_worker, jobs))
+            results = list(pool.map(run_seed, repeat(spec), spec.seeds))
 
     rows = [row for worker_rows in results for row in worker_rows]
     stats = {
@@ -183,35 +188,46 @@ def run_sweep(
 ) -> list[tuple[object, SeedStats]]:
     """One multi-seed NQS run per grid point along a single parameter axis.
 
-    axis is one of "n_iter", "samp_warm" (values are (n_samp, n_warm)
-    pairs), or "lambda_reg". Writes a min/mean/max table when out_dir is
-    set.
+    axis is a key of SWEEP_AXES. A point of a one-field axis is a scalar,
+    and a point of "samp_warm" an (n_samp, n_warm) pair; entries are
+    converted to the type of the VmcConfig field they set, so strings are
+    accepted too. The table pairs each converted point with its statistics.
+    Writes a min/mean/max table when out_dir is set.
     """
     if spec.solver != "nqs":
         raise ValueError("sweeps are defined for solver='nqs' only")
-    if axis not in ("n_iter", "samp_warm", "lambda_reg"):
+    if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    values = list(values)
-    if not values:
+    fields = SWEEP_AXES[axis]
+    points = [_sweep_point(axis, value) for value in values]
+    if not points:
         raise ValueError("sweep grid is empty")
 
     table: list[tuple[object, SeedStats]] = []
-    for value in values:
-        if axis == "n_iter":
-            cfg = replace(spec.vmc, n_iter=int(value))
-        elif axis == "samp_warm":
-            n_samp, n_warm = value
-            cfg = replace(spec.vmc, n_samp=int(n_samp), n_warm=int(n_warm))
-        else:
-            cfg = replace(spec.vmc, lambda_reg=float(value))
-        point = replace(spec, vmc=cfg, out_dir=None)
-        table.append((value, run_experiment(point)["nqs"]))
+    for point in points:
+        cfg = replace(spec.vmc, **dict(zip(fields, point)))
+        stats = run_experiment(replace(spec, vmc=cfg, out_dir=None))["nqs"]
+        table.append((point if len(point) > 1 else point[0], stats))
 
     if spec.out_dir is not None:
         out = Path(spec.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(axis, table, out / f"{spec.label}_sweep_{axis}.csv")
     return table
+
+
+def _sweep_point(axis: str, value) -> tuple:
+    """A grid point as a tuple with one typed entry per field of its axis."""
+    fields = SWEEP_AXES[axis]
+    entries = tuple(value) if np.ndim(value) else (value,)
+    if len(entries) != len(fields):
+        raise ValueError(
+            f"sweep axis {axis!r} takes {len(fields)} value(s) per point "
+            f"({':'.join(fields)}), got {len(entries)}: {value!r}"
+        )
+    return tuple(
+        type(getattr(VmcConfig, name))(entry) for name, entry in zip(fields, entries)
+    )
 
 
 def write_stats_csv(rows: list[SeedResult], path) -> None:
@@ -230,17 +246,13 @@ def write_stats_csv(rows: list[SeedResult], path) -> None:
 
 
 def write_sweep_csv(axis: str, table, path) -> None:
-    """min/mean/max of per-seed best energies at each grid point."""
-    if axis == "samp_warm":
-        lines = ["n_samp,n_warm,min,mean,max"]
-    else:
-        lines = [f"{axis},min,mean,max"]
+    """min/mean/max of per-seed best energies at each grid point of
+    run_sweep's table, one column per field of the axis."""
+    lines = [",".join(SWEEP_AXES[axis]) + ",min,mean,max"]
     for value, stats in table:
+        point = value if isinstance(value, tuple) else (value,)
+        head = ",".join(repr(v) for v in point)
         peak = float(max(e for _, e, _, _ in stats.per_seed))
-        head = (
-            f"{value[0]},{value[1]}" if axis == "samp_warm"
-            else (f"{value!r}" if isinstance(value, float) else f"{value}")
-        )
         lines.append(f"{head},{float(stats.min)!r},{float(stats.mean)!r},{peak!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -257,6 +269,9 @@ def _write_summary_json(
         },
         "solver": spec.solver,
         "init": spec.init,
+        "alpha": spec.alpha,
+        "r": spec.r,
+        "sigma": spec.sigma,
         "seeds": list(spec.seeds),
         "vmc_config": asdict(spec.vmc),
         "bmz_config": asdict(spec.bmz),

@@ -10,6 +10,7 @@ All randomness in this package goes through ``numpy.random.default_rng``
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -18,6 +19,8 @@ import numpy as np
 
 # 2^(n-1) enumeration; beyond this brute force is not practical anyway.
 BRUTE_FORCE_MAX_NODES = 24
+# bipartitions scored per vectorized block of the enumeration
+_BRUTE_FORCE_CHUNK = 1 << 16
 
 WeightMode = Union[str, tuple]
 
@@ -30,10 +33,9 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected weighted graph with 0-based vertex indices.
 
-    Edges are stored as (i, j, w) triples with i < j; each unordered pair
-    appears at most once and self-loops are rejected. Weight lookup is
-    symmetric, with w(i, j) = 0 for non-edges. Instances are immutable and
-    safe to share across threads.
+    Edges are stored as (i, j, w) triples of integer endpoints with i < j;
+    each unordered pair appears at most once and self-loops are rejected.
+    Instances are immutable and safe to share across threads.
     """
 
     n: int
@@ -45,6 +47,12 @@ class Graph:
         canonical = []
         seen = set()
         for i, j, w in self.edges:
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise GraphFormatError(
+                    f"vertex indices must be integers: ({i!r}, {j!r})"
+                ) from None
             if i == j:
                 raise GraphFormatError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -94,15 +102,6 @@ class Graph:
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
         return indptr, cols[order], order
-
-    @cached_property
-    def _weight_map(self) -> dict[tuple[int, int], float]:
-        return {(i, j): w for i, j, w in self.edges}
-
-    def weight(self, i: int, j: int) -> float:
-        """Symmetric weight lookup; 0.0 for non-edges."""
-        pair = (i, j) if i < j else (j, i)
-        return self._weight_map.get(pair, 0.0)
 
     @property
     def total_weight(self) -> float:
@@ -244,7 +243,7 @@ def cut_value(g: Graph, x) -> float:
     return float(0.5 * np.sum(ww * (1.0 - xf[ii] * xf[jj])))
 
 
-def brute_force_max_cut(g: Graph, chunk: int = 1 << 16) -> tuple[float, np.ndarray]:
+def brute_force_max_cut(g: Graph) -> tuple[float, np.ndarray]:
     """Globally optimal cut by enumerating all 2^(n-1) bipartitions.
 
     Vertex 0 is fixed to +1 (global spin flip symmetry). Ties are broken
@@ -262,8 +261,9 @@ def brute_force_max_cut(g: Graph, chunk: int = 1 << 16) -> tuple[float, np.ndarr
 
     best_value = -np.inf
     best_mask = 0
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+    for start in range(0, total, _BRUTE_FORCE_CHUNK):
+        stop = min(start + _BRUTE_FORCE_CHUNK, total)
+        masks = np.arange(start, stop, dtype=np.uint32)
         # labels[k, v] in {0,1}; vertex 0 is column of zeros
         bits = (masks[:, None] >> shifts[None, :]) & np.uint32(1)
         labels = np.zeros((masks.size, g.n), dtype=np.uint32)

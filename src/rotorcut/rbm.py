@@ -37,17 +37,15 @@ _CHECKPOINT_MAGIC = b"RCUT"
 PACKING_VERSION = 1
 
 
-def _bessel_args(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("Bessel argument must be finite")
-    if np.any(arr < 0):
-        raise ValueError("Bessel argument must be nonnegative")
-    return arr
-
-
 def _log_i0(arr: np.ndarray) -> np.ndarray:
-    """log I0 of a validated float array; see log_bessel_i0."""
+    """log I0(x) of a finite, nonnegative float array, overflow-free via the
+    exponentially scaled i0e.
+
+    Relative accuracy holds across the whole range: x + log(i0e(x)) cancels
+    catastrophically below x ~ 1e-4 (the true value is ~x^2/4), so small
+    arguments switch to log1p of the power series. Stays accurate out to
+    x ~ 1e6 and beyond, where log I0(x) ~ x - log(2*pi*x)/2.
+    """
     large = arr + np.log(special.i0e(arr))
     # the usual case on the sampling path: no argument needs the series
     if arr.size and arr.min() > 0.05:
@@ -59,30 +57,9 @@ def _log_i0(arr: np.ndarray) -> np.ndarray:
 
 
 def _ratio(arr: np.ndarray) -> np.ndarray:
-    """I1/I0 of a validated float array; see bessel_ratio."""
+    """I1(x)/I0(x), the derivative of log I0, of a finite, nonnegative float
+    array: monotone increasing from 0 toward 1, always inside [0, 1)."""
     return special.i1e(arr) / special.i0e(arr)
-
-
-def log_bessel_i0(x):
-    """log I0(x) for x >= 0, overflow-free via the exponentially scaled i0e.
-
-    Accepts scalars or arrays. Relative accuracy holds across the whole
-    range: x + log(i0e(x)) cancels catastrophically below x ~ 1e-4 (the
-    true value is ~x^2/4), so small arguments switch to log1p of the power
-    series. Stays accurate out to x ~ 1e6 and beyond, where
-    log I0(x) ~ x - log(2*pi*x)/2.
-    """
-    out = _log_i0(_bessel_args(x))
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
-
-
-def bessel_ratio(x):
-    """I1(x)/I0(x) for x >= 0: the derivative of log I0.
-
-    Monotone increasing from 0 toward 1, always inside [0, 1).
-    """
-    out = _ratio(_bessel_args(x))
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
 def visible_vectors(theta) -> np.ndarray:
@@ -161,8 +138,8 @@ def _fields(p: RbmParams, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fields. Raises ValueError on any other shape or a non-finite angle.
 
     The parameters are finite by construction, so a finite theta gives
-    finite, nonnegative norms and the Bessel helpers need no further
-    checks; one check here replaces theirs on the sampling hot path.
+    finite, nonnegative norms, the only arguments _log_i0 and _ratio accept;
+    this one check covers them on the sampling hot path.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim not in (1, 2) or theta.shape[-1] != p.n:
@@ -189,7 +166,7 @@ def log_derivatives(p: RbmParams, theta) -> np.ndarray:
     One configuration of shape (n,) gives shape (P,); a batch (K, n) gives
     (K, P), each row equal to the single-configuration result.
     d/dc_j = v_j; d/db_i = r(|u_i|) * u_i/|u_i|; d/da_ij = <d/db_i, v_j>,
-    with r = bessel_ratio. A vanishing hidden field is the analytic limit:
+    with r = I1/I0. A vanishing hidden field is the analytic limit:
     r(x)/x -> 1/2, so the b and a blocks of that unit are exactly zero.
     """
     v, u, norms = _fields(p, theta)

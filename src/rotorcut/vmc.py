@@ -20,7 +20,7 @@ steps so the walkers relax after every parameter update.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -46,7 +46,6 @@ class VmcConfig:
     n_iter: int = 1000
     lambda_reg: float = 1e-6
     learning_rate: float = 0.01
-    alpha: float = 1.0
     proposal_step: float = 0.3
     seed: int = 0
 
@@ -61,8 +60,6 @@ class VmcConfig:
             raise ValueError("lambda_reg must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
         if self.proposal_step <= 0:
             raise ValueError("proposal_step must be positive")
 
@@ -397,13 +394,3 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def trace_summary(trace: RunTrace) -> dict:
-    """JSON-ready summary: best energy, best cut, config echo, wall time."""
-    return {
-        "best_energy": trace.best_energy,
-        "best_cut_value": trace.best_cut_value,
-        "best_cut_assignment": [int(v) for v in trace.best_cut_assignment],
-        "config": asdict(trace.config),
-        "wall_time_s": trace.wall_time_s,
-    }

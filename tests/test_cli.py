@@ -66,8 +66,12 @@ def test_run_pretrained_flags(tmp_path):
         "--n-samp", "10", "--n-iter", "5", "--init", "pretrained",
         "--r", "1.5", "--step", "0.5", "--lambda-reg", "1e-9",
         "--learning-rate", "0.02", "--alpha", "2.0",
+        "--label", "pre", "--out", str(tmp_path / "art"),
     ])
     assert code == 0
+    summary = json.loads((tmp_path / "art" / "pre_summary.json").read_text())
+    assert (summary["alpha"], summary["r"]) == (2.0, 1.5)
+    assert summary["vmc_config"]["proposal_step"] == 0.5
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -83,7 +87,7 @@ def test_sweep_command(tmp_path, capsys):
     assert "min=" in capsys.readouterr().out
 
 
-def test_sweep_samp_warm_pairs(tmp_path):
+def test_sweep_samp_warm_pairs(tmp_path, capsys):
     path = tmp_path / "k3.txt"
     path.write_text(K3_TEXT)
     code = main([
@@ -91,6 +95,15 @@ def test_sweep_samp_warm_pairs(tmp_path):
         "--values", "10:0,12:2", "--n-iter", "5",
     ])
     assert code == 0
+    assert "(12, 2): min=" in capsys.readouterr().out
+    code = main([
+        "sweep", str(path), "--seeds", "0", "--axis", "samp_warm",
+        "--values", "10", "--n-iter", "5",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: sweep axis 'samp_warm' takes 2 value" in err
+    assert "n_samp:n_warm" in err
 
 
 def test_bad_subcommand():

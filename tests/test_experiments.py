@@ -6,14 +6,12 @@ import pytest
 from rotorcut import (
     ExperimentSpec,
     VmcConfig,
-    aggregate,
     bmz_minimize,
     random_start,
     run_experiment,
-    run_seed,
     run_sweep,
 )
-from rotorcut.experiments import SeedResult
+from rotorcut.experiments import SeedResult, aggregate, run_seed
 
 FAST = VmcConfig(n_samp=10, n_iter=15)
 
@@ -31,6 +29,8 @@ def test_spec_validation(k3):
         ExperimentSpec(graph=k3, seeds=())
     with pytest.raises(ValueError):
         ExperimentSpec(graph=k3, workers=0)
+    with pytest.raises(ValueError, match="alpha"):
+        ExperimentSpec(graph=k3, alpha=0.0)
 
 
 def test_aggregate_matches_recomputation():
@@ -73,6 +73,7 @@ def test_pretrained_starts_near_bmz_solution(k4):
 def test_run_experiment_stats_and_artifacts(k3, tmp_path):
     spec = ExperimentSpec(
         graph=k3, solver="both", seeds=(0, 1, 2), vmc=FAST,
+        init="pretrained", alpha=2.0, r=1.5, sigma=0.2,
         label="unit", out_dir=str(tmp_path),
     )
     stats = run_experiment(spec)
@@ -91,6 +92,9 @@ def test_run_experiment_stats_and_artifacts(k3, tmp_path):
     assert summary["graph"]["n"] == 3
     assert set(summary["stats"]) == {"bmz", "nqs"}
     assert summary["stats"]["nqs"]["min"] <= summary["stats"]["nqs"]["mean"]
+    init = {key: summary[key] for key in ("init", "alpha", "r", "sigma")}
+    assert init == {"init": "pretrained", "alpha": 2.0, "r": 1.5, "sigma": 0.2}
+    assert "alpha" not in summary["vmc_config"]
 
 
 def test_rerun_reproduces_csv_bodies(k3, tmp_path):
@@ -148,6 +152,10 @@ def test_sweep_guards(k3):
         run_sweep(nqs, "bogus", [1])
     with pytest.raises(ValueError):
         run_sweep(nqs, "n_iter", [])
+    with pytest.raises(ValueError, match="'samp_warm' takes 2 value"):
+        run_sweep(nqs, "samp_warm", [(10, 0), 10])
+    with pytest.raises(ValueError, match="'n_iter' takes 1 value"):
+        run_sweep(nqs, "n_iter", [(5, 3)])
 
 
 def test_seed_streams_are_separated(k3):

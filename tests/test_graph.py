@@ -19,15 +19,15 @@ def test_parse_k3():
     g = parse_edge_list(K3_TEXT)
     assert g.n == 3
     assert g.m == 3
-    assert g.weight(0, 1) == 1.0
+    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
     assert g.total_weight == 3.0
 
 
 def test_edges_canonicalized():
     g = Graph(3, [(2, 0, 1.5), (1, 0, 2.0)])
     assert g.edges == ((0, 2, 1.5), (0, 1, 2.0))
-    assert g.weight(2, 0) == 1.5
-    assert g.weight(0, 2) == 1.5
+    # numpy integers are integers
+    assert Graph(3, [(np.int64(2), np.intp(0), 1.5)]).edges == ((0, 2, 1.5),)
 
 
 def test_serialize_round_trip():
@@ -76,9 +76,18 @@ def test_generate_graph_shape_and_weights():
     assert all(w == 1.0 for _, _, w in unit.edges)
 
 
-def test_generate_graph_too_many_edges():
-    with pytest.raises(ValueError):
-        generate_graph(4, 7, weight_mode="unit", seed=0)
+@pytest.mark.parametrize(
+    "m_edges,weight_mode,fragment",
+    [
+        (7, "unit", "too large"),
+        (3, "gaussian", "unknown weight mode"),
+        (3, (2.0, 2.0), "invalid weight range"),
+    ],
+    ids=["too-many-edges", "unknown-weight-mode", "empty-weight-range"],
+)
+def test_generate_graph_rejects_bad_request(m_edges, weight_mode, fragment):
+    with pytest.raises(GraphFormatError, match=fragment):
+        generate_graph(4, m_edges, weight_mode=weight_mode, seed=0)
 
 
 def test_cut_value_examples(k3):
@@ -132,3 +141,6 @@ def test_graph_validation():
         Graph(2, [(0, 2, 1.0)])
     with pytest.raises(ValueError):
         Graph(1, [])
+    # 1.7 would truncate to 1 and duplicate the (0, 1) edge
+    with pytest.raises(GraphFormatError, match="integers"):
+        Graph(3, [(0, 1.7, 1.0), (0, 1, 2.0)])

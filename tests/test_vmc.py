@@ -4,19 +4,24 @@ import pytest
 from rotorcut import (
     RbmParams,
     VmcConfig,
-    chain_init,
     cost,
-    estimate_forces,
     init_random,
     log_derivatives,
     log_psi,
     run_vmc,
-    sample_batch,
-    sr_iteration,
-    trace_summary,
     write_trace_csv,
 )
-from rotorcut.vmc import SrBatch, apply_metric, mh_step, minres_solve, sr_solve
+from rotorcut.vmc import (
+    SrBatch,
+    apply_metric,
+    chain_init,
+    estimate_forces,
+    mh_step,
+    minres_solve,
+    sample_batch,
+    sr_iteration,
+    sr_solve,
+)
 from oracles import dense_sr_metric, direct_forces
 
 
@@ -387,8 +392,3 @@ def test_trace_csv_and_summary(k3, tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == trace.e_mean[0]
-
-    summary = trace_summary(trace)
-    assert summary["best_energy"] == trace.best_energy
-    assert summary["config"]["n_iter"] == 6
-    assert len(summary["best_cut_assignment"]) == 3
