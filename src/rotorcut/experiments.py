@@ -77,8 +77,12 @@ class ExperimentSpec:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not (np.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"r must be finite and >= 0, got {self.r}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
         if self.workers < 1:

@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
+from scipy import sparse
 
 # 2^(n-1) enumeration; beyond this brute force is not practical anyway.
 BRUTE_FORCE_MAX_NODES = 24
@@ -85,23 +86,18 @@ class Graph:
         )
 
     @cached_property
-    def csr_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparsity pattern of the symmetric n x n matrix with an entry at
-        (i, j) and (j, i) for every edge plus the full diagonal, in canonical
-        CSR order (rows in turn, column indices sorted within a row).
-
-        Returns (indptr, indices, order). For values laid out in triplet
-        order, [the m (i, j) entries, the m (j, i) entries, the n diagonal
-        entries], ``values[order]`` is the CSR data array.
+    def adjacency(self) -> sparse.csr_array:
+        """Weighted adjacency as a symmetric n x n CSR matrix: w_ij at (i, j)
+        and (j, i) for every edge, and an explicit zero on every diagonal
+        entry, so the rotor Hessian (objective.cost_hessian) fills this same
+        pattern. Column indices are sorted within each row.
         """
-        ii, jj, _ = self.edge_arrays
+        ii, jj, ww = self.edge_arrays
         diag = np.arange(self.n, dtype=np.intp)
         rows = np.concatenate([ii, jj, diag])
         cols = np.concatenate([jj, ii, diag])
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return indptr, cols[order], order
+        data = np.concatenate([ww, ww, np.zeros(self.n)])
+        return sparse.coo_array((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     @property
     def total_weight(self) -> float:

@@ -1,12 +1,21 @@
 """Rank-2 rotor relaxation of Max-Cut and its derivatives.
 
-Replacing binary labels by planar unit vectors v_i = (cos t_i, sin t_i)
-turns Max-Cut into unconstrained minimization of
+Replacing binary labels by planar unit vectors v_i = (c_i, s_i) =
+(cos t_i, sin t_i) turns Max-Cut into unconstrained minimization of
 
     f(t) = sum_edges w_ij * cos(t_i - t_j),
 
 the antiferromagnetic planar rotor energy. This module evaluates f, its
-analytic gradient and its sparse Hessian.
+analytic gradient and its sparse Hessian in the Cartesian form of Burer,
+Monteiro & Zhang (SIAM J. Optim. 12(2), 2002): with the symmetric weighted
+adjacency A (Graph.adjacency), cos(t_i - t_j) = c_i c_j + s_i s_j gives
+
+    f      = (c.Ac + s.As) / 2,
+    grad f = c * As - s * Ac,
+    H      = A * (c c' + s s') - diag(c * Ac + s * As),
+
+so each call takes n cosines and n sines and products with A, and no
+per-edge trigonometry.
 """
 
 from __future__ import annotations
@@ -26,39 +35,46 @@ def wrap_angles(theta) -> np.ndarray:
     return np.where(wrapped == TWO_PI, 0.0, wrapped)
 
 
-def _check_config(g: Graph, theta) -> np.ndarray:
+def _cartesian(g: Graph, theta, batch: bool = False) -> tuple[np.ndarray, ...]:
+    """(c, s, Ac, As) with c = cos t, s = sin t and A = g.adjacency, for one
+    configuration (n,) or, with batch=True, also for a batch (K, n), each
+    row equal to the single-configuration result. Raises ValueError on any
+    other shape.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (g.n,):
-        raise ValueError(f"rotor config length {theta.shape} does not match n={g.n}")
-    return theta
+    if theta.ndim not in ((1, 2) if batch else (1,)) or theta.shape[-1] != g.n:
+        raise ValueError(f"rotor configs of shape {theta.shape} do not match n={g.n}")
+    c, s = np.cos(theta), np.sin(theta)
+    a = g.adjacency
+    if theta.ndim == 1:
+        # two products with A run faster than one two-column product
+        return c, s, a @ c, a @ s
+    # one product with A for the whole batch: each entry of the n x 2K
+    # block sums its terms in the same order as a single product does
+    block = (a @ np.concatenate([c, s]).T).T
+    ac, as_ = np.ascontiguousarray(block).reshape(2, *theta.shape)
+    return c, s, ac, as_
 
 
 def cost(g: Graph, theta) -> float | np.ndarray:
-    """Rotor energy sum_edges w_ij * cos(t_i - t_j).
+    """Rotor energy sum_edges w_ij * cos(t_i - t_j) = (c.Ac + s.As) / 2.
 
     One configuration of shape (n,) gives a float; a batch (K, n) gives an
     array of shape (K,), each entry equal to the single-configuration value.
     Invariant under global rotation t -> t + phi and reflection t -> -t.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != g.n:
-        raise ValueError(f"rotor configs of shape {theta.shape} do not match n={g.n}")
-    ii, jj, ww = g.edge_arrays
-    # take keeps every gathered row contiguous, so each row sums exactly as
-    # a single configuration does
-    e = (ww * np.cos(theta.take(ii, axis=-1) - theta.take(jj, axis=-1))).sum(axis=-1)
-    return float(e) if theta.ndim == 1 else e
+    c, s, ac, as_ = _cartesian(g, theta, batch=True)
+    # every configuration's products are one contiguous row, so each row
+    # sums exactly as a single configuration does
+    e = 0.5 * ((c * ac).sum(axis=-1) + (s * as_).sum(axis=-1))
+    return float(e) if c.ndim == 1 else e
 
 
 def cost_gradient(g: Graph, theta) -> np.ndarray:
-    """Analytic gradient: d/dt_i = -sum_j w_ij * sin(t_i - t_j)."""
-    theta = _check_config(g, theta)
-    ii, jj, ww = g.edge_arrays
-    s = ww * np.sin(theta[ii] - theta[jj])
-    grad = np.zeros(g.n)
-    np.subtract.at(grad, ii, s)
-    np.add.at(grad, jj, s)
-    return grad
+    """Analytic gradient: d/dt_i = -sum_j w_ij * sin(t_i - t_j)
+    = c_i (As)_i - s_i (Ac)_i."""
+    c, s, ac, as_ = _cartesian(g, theta)
+    return c * as_ - s * ac
 
 
 def cost_hessian(g: Graph, theta) -> sparse.csr_array:
@@ -66,16 +82,12 @@ def cost_hessian(g: Graph, theta) -> sparse.csr_array:
 
     H_ij = w_ij * cos(t_i - t_j) on edges, H_ii = -sum_j w_ij * cos(t_i - t_j).
     Off-edge entries are structurally zero; graphs here are sparse, so no
-    dense assembly. The sparsity pattern is built once per graph
-    (Graph.csr_structure); each call only fills the data array.
+    dense assembly. The pattern is that of Graph.adjacency, whose explicit
+    diagonal zeros reserve the diagonal; each call only fills the data array.
     """
-    theta = _check_config(g, theta)
-    ii, jj, ww = g.edge_arrays
-    c = ww * np.cos(theta[ii] - theta[jj])
-    diag = np.zeros(g.n)
-    np.subtract.at(diag, ii, c)
-    np.subtract.at(diag, jj, c)
-    indptr, indices, order = g.csr_structure
-    data = np.concatenate([c, c, diag])[order]
-    return sparse.csr_array((data, indices, indptr), shape=(g.n, g.n))
-
+    c, s, ac, as_ = _cartesian(g, theta)
+    a = g.adjacency
+    rows, cols = np.repeat(np.arange(g.n), np.diff(a.indptr)), a.indices
+    data = a.data * (c[rows] * c[cols] + s[rows] * s[cols])
+    data[rows == cols] = -(c * ac + s * as_)
+    return sparse.csr_array((data, cols, a.indptr), shape=(g.n, g.n))

@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-TWO_PI = 2.0 * np.pi
+from .objective import TWO_PI
+
 _LOG_TWO_PI = np.log(TWO_PI)
 
 # checkpoint header layout: magic, packing version, n, m
@@ -192,14 +193,19 @@ def _hidden_count(n: int, alpha: float) -> int:
     return m
 
 
+def _couplings(m: int, n: int, sigma: float, seed) -> np.ndarray:
+    """(m, n) couplings a ~ N(0, sigma^2), deterministic per seed; all zero
+    for sigma = 0. Raises ValueError if sigma is negative or not finite."""
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"coupling scale sigma must be finite and >= 0, got {sigma}")
+    return np.random.default_rng(seed).normal(0.0, sigma, size=(m, n))
+
+
 def init_random(n: int, alpha: float = 1.0, sigma: float = 0.1, seed=None) -> RbmParams:
     """Gaussian couplings a ~ N(0, sigma^2), zero biases. Deterministic per seed."""
     m = _hidden_count(n, alpha)
-    rng = np.random.default_rng(seed)
     return RbmParams(
-        a=rng.normal(0.0, sigma, size=(m, n)) if sigma > 0 else np.zeros((m, n)),
-        b=np.zeros((m, 2)),
-        c=np.zeros((n, 2)),
+        a=_couplings(m, n, sigma, seed), b=np.zeros((m, 2)), c=np.zeros((n, 2))
     )
 
 
@@ -217,13 +223,12 @@ def init_pretrained(
     hidden biases start at zero and couplings at N(0, sigma^2).
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    if r < 0:
-        raise ValueError("pretrained bias scale r must be >= 0")
+    if not (np.isfinite(r) and r >= 0):
+        raise ValueError(f"pretrained bias scale r must be finite and >= 0, got {r}")
     n = theta_star.size
     m = _hidden_count(n, alpha)
-    rng = np.random.default_rng(seed)
     return RbmParams(
-        a=rng.normal(0.0, sigma, size=(m, n)) if sigma > 0 else np.zeros((m, n)),
+        a=_couplings(m, n, sigma, seed),
         b=np.zeros((m, 2)),
         c=r * visible_vectors(theta_star),
     )

@@ -5,11 +5,11 @@ avoiding the package's own code paths: plain-Python enumeration for cuts,
 central finite differences for derivatives, trapezoid quadrature for the
 wavefunction integral, mpmath for Bessel functions, dense linear algebra
 for the SR metric, and the dense 2^n x 2^n Heisenberg expectation that the
-rotor cost must equal. The dense Procedure-Cut and the triplet-form
-Hessian are the package's former implementations, kept to cross-check
-the sorted sweep and the cached CSR structure that replaced them; both
-share only the input normalisation (wrap_angles) and cut_value with the
-package.
+rotor cost must equal. The per-edge rotor gradient, the dense
+Procedure-Cut and the triplet-form Hessian are the package's former
+implementations, kept to cross-check the Cartesian objective and the
+sorted sweep that replaced them; they share only the input normalisation
+(wrap_angles) and cut_value with the package.
 """
 
 import itertools
@@ -43,6 +43,14 @@ def enumerate_max_cut(n, edges):
 
 def rotor_cost(edges, theta):
     return sum(w * np.cos(theta[i] - theta[j]) for i, j, w in edges)
+
+
+def rotor_gradient(g, theta):
+    """d/dt_k = -sum_l w_kl sin(t_k - t_l), one sine per edge."""
+    theta = np.asarray(theta, dtype=float)
+    ii, jj, ww = g.edge_arrays
+    s = ww * np.sin(theta[ii] - theta[jj])
+    return np.bincount(jj, s, g.n) - np.bincount(ii, s, g.n)
 
 
 def _kron_chain(factors):

@@ -117,6 +117,10 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     code = main(["run", str(path), "--n-samp", "1"])
     assert code == 2
     assert "n_samp" in capsys.readouterr().err
+    for bad in ("-1", "nan"):
+        code = main(["run", str(path), "--sigma", bad])
+        assert code == 2
+        assert "sigma" in capsys.readouterr().err
 
 
 def test_numerical_failure_is_reported(tmp_path, capsys, monkeypatch):

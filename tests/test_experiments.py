@@ -29,8 +29,14 @@ def test_spec_validation(k3):
         ExperimentSpec(graph=k3, seeds=())
     with pytest.raises(ValueError):
         ExperimentSpec(graph=k3, workers=0)
-    with pytest.raises(ValueError, match="alpha"):
-        ExperimentSpec(graph=k3, alpha=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentSpec(graph=k3, alpha=bad)
+    for field in ("r", "sigma"):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=field):
+                ExperimentSpec(graph=k3, **{field: bad})
+    ExperimentSpec(graph=k3, r=0.0, sigma=0.0)
 
 
 def test_aggregate_matches_recomputation():

@@ -144,3 +144,27 @@ def test_graph_validation():
     # 1.7 would truncate to 1 and duplicate the (0, 1) edge
     with pytest.raises(GraphFormatError, match="integers"):
         Graph(3, [(0, 1.7, 1.0), (0, 1, 2.0)])
+
+
+def test_adjacency():
+    cases = [
+        generate_graph(5, 0, "unit", 0),
+        parse_edge_list(K3_TEXT),
+        generate_graph(9, 14, weight_mode=(0.0, 15.0), seed=5),
+        generate_graph(40, 300, weight_mode=(-2.0, 3.0), seed=6),
+    ]
+    for g in cases:
+        a = g.adjacency
+        dense = np.zeros((g.n, g.n))
+        for i, j, w in g.edges:
+            dense[i, j] = dense[j, i] = w
+        np.testing.assert_array_equal(a.toarray(), dense)
+        assert (a != a.T).nnz == 0
+        assert a.has_canonical_format
+        assert a.nnz == 2 * g.m + g.n
+        rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
+        on_diag = rows == a.indices
+        # exactly one stored zero per diagonal entry, in row order
+        np.testing.assert_array_equal(a.indices[on_diag], np.arange(g.n))
+        np.testing.assert_array_equal(a.data[on_diag], 0.0)
+        assert g.adjacency is a

@@ -13,6 +13,7 @@ from oracles import (
     fd_hessian_column,
     heisenberg_expectation,
     rotor_cost,
+    rotor_gradient,
     triplet_hessian,
 )
 
@@ -35,9 +36,23 @@ def test_cost_aligned_and_antipodal(k3):
     assert cost(k3, theta) == pytest.approx(-1.0)
 
 
+def large_instance():
+    """Weighted n = 800, m = 19176 instance: 48 edges per vertex on average."""
+    g = generate_graph(800, 19176, weight_mode=(0.0, 15.0), seed=31)
+    return g, np.random.default_rng(32).uniform(0.0, 2.0 * np.pi, g.n)
+
+
 def test_cost_matches_reference():
-    for g, theta in random_instances(10, seed=3):
+    for g, theta in random_instances(10, seed=3) + [large_instance()]:
         assert cost(g, theta) == pytest.approx(rotor_cost(g.edges, theta), rel=1e-12)
+
+
+def test_gradient_matches_reference():
+    for g, theta in random_instances(10, seed=13) + [large_instance()]:
+        scale = np.abs(g.edge_arrays[2]).sum()
+        np.testing.assert_allclose(
+            cost_gradient(g, theta), rotor_gradient(g, theta), rtol=0, atol=1e-12 * scale
+        )
 
 
 def test_cost_invariant_under_global_rotation():
@@ -81,13 +96,20 @@ def test_hessian_matches_finite_differences():
 def test_hessian_matches_triplet_assembly():
     cases = random_instances(10, n_range=(2, 30), seed=8)
     cases.append((generate_graph(5, 0, "unit", 0), np.arange(5.0)))
+    eps = np.finfo(float).eps
     for g, theta in cases:
         hess = cost_hessian(g, theta)
         ref = triplet_hessian(g, theta).tocsr()
         for field in ("indptr", "indices", "data"):
-            got, want = getattr(hess, field), getattr(ref, field)
-            assert got.dtype == want.dtype, field
-            np.testing.assert_array_equal(got, want, err_msg=field)
+            assert getattr(hess, field).dtype == getattr(ref, field).dtype, field
+        np.testing.assert_array_equal(hess.indptr, ref.indptr)
+        np.testing.assert_array_equal(hess.indices, ref.indices)
+        # the Cartesian products c_i c_j + s_i s_j round differently from
+        # cos(t_i - t_j); bound each entry by its row's total weight
+        ii, jj, ww = g.edge_arrays
+        row_weight = np.bincount(ii, np.abs(ww), g.n) + np.bincount(jj, np.abs(ww), g.n)
+        rows = np.repeat(np.arange(g.n), np.diff(ref.indptr))
+        assert np.all(np.abs(hess.data - ref.data) <= 8 * eps * (1 + row_weight[rows]))
 
 
 def test_hessian_symmetric():

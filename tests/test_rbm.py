@@ -209,6 +209,12 @@ def test_init_random():
     q = init_random(5, alpha=1.0, sigma=0.1, seed=3)
     np.testing.assert_array_equal(p.a, q.a)
     assert init_random(5, alpha=2.0, sigma=0.1, seed=3).m == 10
+    np.testing.assert_array_equal(init_random(5, sigma=0.0, seed=3).a, 0.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            init_random(5, sigma=bad)
+        with pytest.raises(ValueError, match="sigma"):
+            init_pretrained(np.zeros(3), sigma=bad)
 
 
 def test_init_pretrained():
@@ -216,8 +222,9 @@ def test_init_pretrained():
     p = init_pretrained(theta_star, alpha=1.0, r=2.0, sigma=0.1, seed=4)
     np.testing.assert_allclose(p.c, 2.0 * visible_vectors(theta_star), atol=1e-15)
     np.testing.assert_array_equal(p.b, 0.0)
-    with pytest.raises(ValueError):
-        init_pretrained(theta_star, r=-1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="r must"):
+            init_pretrained(theta_star, r=bad)
 
 
 def test_pretrained_density_concentrates():
