@@ -85,6 +85,8 @@ class ExperimentSpec:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -195,7 +197,8 @@ def run_sweep(
     axis is a key of SWEEP_AXES. A point of a one-field axis is a scalar,
     and a point of "samp_warm" an (n_samp, n_warm) pair; entries are
     converted to the type of the VmcConfig field they set, so strings are
-    accepted too. The table pairs each converted point with its statistics.
+    accepted too; a non-integral value for an integer field is an error,
+    not truncated. The table pairs each converted point with its statistics.
     Writes a min/mean/max table when out_dir is set.
     """
     if spec.solver != "nqs":
@@ -229,6 +232,11 @@ def _sweep_point(axis: str, value) -> tuple:
             f"sweep axis {axis!r} takes {len(fields)} value(s) per point "
             f"({':'.join(fields)}), got {len(entries)}: {value!r}"
         )
+    for name, entry in zip(fields, entries):
+        if type(getattr(VmcConfig, name)) is int and not float(entry).is_integer():
+            raise ValueError(
+                f"sweep axis {axis!r}: {name} must be an integer, got {entry!r}"
+            )
     return tuple(
         type(getattr(VmcConfig, name))(entry) for name, entry in zip(fields, entries)
     )

@@ -10,8 +10,7 @@ All randomness in this package goes through ``numpy.random.default_rng``
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -36,54 +35,69 @@ class Graph:
 
     Edges are stored as (i, j, w) triples of integer endpoints with i < j;
     each unordered pair appears at most once and self-loops are rejected.
+    edge_arrays holds the same edges as (ii, jj, ww) arrays for vector ops.
     Instances are immutable and safe to share across threads.
+
+    The given edges are checked here, as arrays, wherever they came from.
+    A self-loop, out-of-range index, repeated pair or non-finite weight
+    raises GraphFormatError naming the fault, the offending edge's position
+    k in the given sequence as edges[k], and its 0-based endpoints and
+    weight.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if self.n < 2:
-            raise GraphFormatError(f"vertex count must be >= 2, got {self.n}")
-        canonical = []
-        seen = set()
-        for i, j, w in self.edges:
-            try:
-                i, j = operator.index(i), operator.index(j)
-            except TypeError:
-                raise GraphFormatError(
-                    f"vertex indices must be integers: ({i!r}, {j!r})"
-                ) from None
-            if i == j:
-                raise GraphFormatError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphFormatError(f"vertex index out of range: ({i}, {j})")
-            pair = (i, j) if i < j else (j, i)
-            if pair in seen:
-                raise GraphFormatError(f"duplicate edge {pair}")
-            seen.add(pair)
-            w = float(w)
-            if not np.isfinite(w):
-                raise GraphFormatError(f"non-finite weight on edge {pair}")
-            canonical.append((pair[0], pair[1], w))
-        object.__setattr__(self, "edges", tuple(canonical))
+        n = self.n
+        if n < 2:
+            raise GraphFormatError(f"vertex count must be >= 2, got {n}")
+        given = tuple(self.edges)
+        not_triple = np.fromiter(map(len, given), np.intp, len(given)) != 3
+        if not_triple.any():
+            k = int(np.argmax(not_triple))
+            raise GraphFormatError(
+                f"edges[{k}] is not an (i, j, w) triple: {given[k]!r}"
+            )
+        ii, jj, ww = zip(*given) if given else ((), (), ())
+        try:
+            ends = np.array((ii, jj))
+            integral = ends.ndim == 2 and ends.dtype.kind in "iu"
+        except ValueError:  # endpoints that are sequences of unequal length
+            integral = False
+        if given and not integral:
+            raise GraphFormatError("vertex indices must be integers")
+        ii, jj = ends.astype(np.intp)
+        try:
+            ww = np.fromiter(ww, float, len(given))
+        except (TypeError, ValueError):
+            raise GraphFormatError("edge weights must be real numbers") from None
+        lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+
+        repeated = np.ones(len(given), dtype=bool)
+        repeated[np.unique(lo * n + hi, return_index=True)[1]] = False
+        faults = {
+            "self-loop": lo == hi,
+            f"vertex index out of range [0, {n})": (lo < 0) | (hi >= n),
+            "duplicate edge": repeated,
+            "non-finite weight": ~np.isfinite(ww),
+        }
+        for fault, bad in faults.items():
+            if bad.any():
+                k = int(np.argmax(bad))
+                edge = (int(ii[k]), int(jj[k]), float(ww[k]))
+                raise GraphFormatError(f"{fault} at edges[{k}]: {edge}")
+
+        edges = tuple(zip(lo.tolist(), hi.tolist(), ww.tolist()))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_arrays", (lo, hi, ww))
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge endpoints and weights as (ii, jj, ww) arrays for vector ops."""
-        if not self.edges:
-            z = np.zeros(0, dtype=np.intp)
-            return z, z.copy(), np.zeros(0)
-        ii, jj, ww = zip(*self.edges)
-        return (
-            np.asarray(ii, dtype=np.intp),
-            np.asarray(jj, dtype=np.intp),
-            np.asarray(ww, dtype=float),
-        )
 
     @cached_property
     def adjacency(self) -> sparse.csr_array:
@@ -109,57 +123,34 @@ def parse_edge_list(text: str) -> Graph:
 
     First non-blank line is "n m"; the next m non-blank lines are
     "i j w" with 1-indexed vertices and decimal floating-point weights.
-    Indices are normalized to 0-based. Raises GraphFormatError on a
-    malformed line, self-loop, duplicate edge, out-of-range index, edge
-    count mismatch, or n < 2.
+    Blank lines are skipped. Indices are normalized to 0-based. Raises
+    GraphFormatError on a malformed header or edge line (naming its line
+    number in the text) or an edge count mismatch; Graph raises it for
+    self-loops, duplicate edges, out-of-range indices, non-finite weights
+    and n < 2.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
+    lines = [(lineno, line) for lineno, line in numbered if line]
     if not lines:
         raise GraphFormatError("empty edge-list text")
 
-    header = lines[0].split()
-    if len(header) != 2:
-        raise GraphFormatError(f"malformed header line: {lines[0]!r}")
+    header = lines[0][1]
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = map(int, header.split())
     except ValueError:
-        raise GraphFormatError(f"malformed header line: {lines[0]!r}") from None
-    if n < 2:
-        raise GraphFormatError(f"vertex count must be >= 2, got {n}")
+        raise GraphFormatError(f"malformed header line: {header!r}") from None
     if m < 0:
         raise GraphFormatError(f"negative edge count: {m}")
     if len(lines) - 1 != m:
-        raise GraphFormatError(
-            f"expected {m} edge lines, found {len(lines) - 1}"
-        )
+        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
 
     edges = []
-    seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"malformed edge line {lineno}: {line!r}")
+    for lineno, line in lines[1:]:
         try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2])
+            i, j, w = line.split()
+            edges.append((int(i) - 1, int(j) - 1, float(w)))
         except ValueError:
-            raise GraphFormatError(
-                f"malformed edge line {lineno}: {line!r}"
-            ) from None
-        if not np.isfinite(w):
-            raise GraphFormatError(f"non-finite weight on line {lineno}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphFormatError(
-                f"vertex index out of range on line {lineno}: ({i}, {j})"
-            )
-        if i == j:
-            raise GraphFormatError(f"self-loop on line {lineno}: vertex {i}")
-        pair = (min(i, j) - 1, max(i, j) - 1)
-        if pair in seen:
-            raise GraphFormatError(f"duplicate edge on line {lineno}: {pair}")
-        seen.add(pair)
-        edges.append((pair[0], pair[1], w))
-
+            raise GraphFormatError(f"malformed edge line {lineno}: {line!r}") from None
     return Graph(n=n, edges=tuple(edges))
 
 
@@ -195,16 +186,14 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
         raise GraphFormatError(f"negative edge count: {m_edges}")
 
     rng = np.random.default_rng(seed)
-    chosen: set[tuple[int, int]] = set()
+    # A batch of m_edges - len(chosen) candidates adds at most that many
+    # pairs, so the stream stops where drawing one pair at a time would and
+    # the weights below see the same draws. Pair i < j is kept as i * n + j.
+    chosen: set[int] = set()
     while len(chosen) < m_edges:
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n))
-        if i == j:
-            continue
-        pair = (i, j) if i < j else (j, i)
-        if pair not in chosen:
-            chosen.add(pair)
-    pairs = sorted(chosen)
+        i, j = rng.integers(0, n, size=(m_edges - len(chosen), 2)).T
+        chosen.update((np.minimum(i, j) * n + np.maximum(i, j))[i != j].tolist())
+    ii, jj = np.divmod(np.sort(np.fromiter(chosen, np.int64, m_edges)), n)
 
     if weight_mode == "unit":
         weights = np.ones(m_edges)
@@ -216,7 +205,7 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
     else:
         raise GraphFormatError(f"unknown weight mode: {weight_mode!r}")
 
-    edges = tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights))
+    edges = tuple(zip(ii.tolist(), jj.tolist(), weights.tolist()))
     return Graph(n=n, edges=edges)
 
 

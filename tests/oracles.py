@@ -6,9 +6,10 @@ central finite differences for derivatives, trapezoid quadrature for the
 wavefunction integral, mpmath for Bessel functions, dense linear algebra
 for the SR metric, and the dense 2^n x 2^n Heisenberg expectation that the
 rotor cost must equal. The per-edge rotor gradient, the dense
-Procedure-Cut and the triplet-form Hessian are the package's former
-implementations, kept to cross-check the Cartesian objective and the
-sorted sweep that replaced them; they share only the input normalisation
+Procedure-Cut, the triplet-form Hessian and the one-pair rejection loop
+of the graph generator are the package's former implementations, kept to
+cross-check the Cartesian objective, the sorted sweep and the batched
+generator that replaced them; they share only the input normalisation
 (wrap_angles) and cut_value with the package.
 """
 
@@ -200,3 +201,22 @@ def triplet_hessian(g, theta):
     cols = np.concatenate([jj, ii, np.arange(g.n)])
     data = np.concatenate([c, c, diag])
     return sparse.coo_array((data, (rows, cols)), shape=(g.n, g.n))
+
+
+def loop_generated_edges(n, m_edges, weight_mode, seed):
+    """generate_graph's edges by drawing one candidate pair per iteration
+    (i, then j, as scalars) until m_edges distinct pairs are chosen, then
+    the weights over the sorted pairs from the same generator."""
+    rng = np.random.default_rng(seed)
+    chosen = set()
+    while len(chosen) < m_edges:
+        i = int(rng.integers(0, n))
+        j = int(rng.integers(0, n))
+        if i != j:
+            chosen.add((min(i, j), max(i, j)))
+    if weight_mode == "unit":
+        weights = [1.0] * m_edges
+    else:
+        lo, hi = weight_mode
+        weights = rng.uniform(lo, hi, size=m_edges).tolist()
+    return tuple((i, j, w) for (i, j), w in zip(sorted(chosen), weights))

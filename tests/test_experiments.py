@@ -27,6 +27,8 @@ def test_spec_validation(k3):
         ExperimentSpec(graph=k3, init="warm")
     with pytest.raises(ValueError):
         ExperimentSpec(graph=k3, seeds=())
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentSpec(graph=k3, seeds=(0, 0))
     with pytest.raises(ValueError):
         ExperimentSpec(graph=k3, workers=0)
     for bad in (0.0, np.nan, np.inf):
@@ -162,6 +164,10 @@ def test_sweep_guards(k3):
         run_sweep(nqs, "samp_warm", [(10, 0), 10])
     with pytest.raises(ValueError, match="'n_iter' takes 1 value"):
         run_sweep(nqs, "n_iter", [(5, 3)])
+    with pytest.raises(ValueError, match="n_iter must be an integer, got 5.7"):
+        run_sweep(nqs, "n_iter", [5.7])
+    with pytest.raises(ValueError, match="n_warm must be an integer"):
+        run_sweep(nqs, "samp_warm", [(10, 0.5)])
 
 
 def test_seed_streams_are_separated(k3):

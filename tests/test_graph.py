@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from rotorcut import (
     parse_edge_list,
     serialize_edge_list,
 )
-from oracles import enumerate_max_cut
+from oracles import enumerate_max_cut, loop_generated_edges
 
 K3_TEXT = "3 3\n1 2 1.0\n2 3 1.0\n1 3 1.0\n"
 
@@ -26,6 +28,9 @@ def test_parse_k3():
 def test_edges_canonicalized():
     g = Graph(3, [(2, 0, 1.5), (1, 0, 2.0)])
     assert g.edges == ((0, 2, 1.5), (0, 1, 2.0))
+    ii, jj, ww = g.edge_arrays
+    assert ii.dtype == jj.dtype == np.intp and ww.dtype == float
+    assert tuple(zip(ii.tolist(), jj.tolist(), ww.tolist())) == g.edges
     # numpy integers are integers
     assert Graph(3, [(np.int64(2), np.intp(0), 1.5)]).edges == ((0, 2, 1.5),)
 
@@ -49,6 +54,10 @@ def test_serialize_round_trip():
         ("1 0\n", ">= 2"),
         ("3 1\n1 2 nan\n", "finite"),
         ("", "empty"),
+        # line numbers count every line of the text, blank ones too
+        ("3 1\n\n1 2 x\n", "malformed edge line 3:"),
+        ("\n\n3 1\n1 2 x\n", "malformed edge line 4:"),
+        ("3 2\n1 2 1.0\n\n2 2 1.0\n", r"self-loop at edges\[1\]: \(1, 1, 1.0\)"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -62,6 +71,36 @@ def test_generate_graph_deterministic():
     assert a.edges == b.edges
     c = generate_graph(12, 30, weight_mode=(0.0, 15.0), seed=8)
     assert c.edges != a.edges
+
+
+def test_generate_graph_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for case in range(320):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(0, n * (n - 1) // 2 + 1))
+        if case % 2:
+            mode = "unit"
+        else:
+            mode = (float(rng.uniform(-5.0, 0.0)), float(rng.uniform(0.5, 20.0)))
+        seed = int(rng.integers(1 << 30)) if case % 3 else [case, 7]
+        g = generate_graph(n, m, mode, seed)
+        expected = loop_generated_edges(n, m, mode, seed)
+        assert g.edges == expected, (n, m, mode, seed)
+        assert g.total_weight == sum(w for _, _, w in expected)
+        assert parse_edge_list(serialize_edge_list(g)).edges == g.edges
+
+
+@pytest.mark.parametrize(
+    "n,m,mode,seed,digest",
+    [
+        (50, 619, (0.0, 15.0), 2024, "baeee8cbb8abd0c3"),
+        (800, 19176, "unit", [0, 0], "7c07b7d5dc15f428"),
+        (2000, 8000, "unit", [0, 1], "a6a307678716bee9"),
+    ],
+)
+def test_generate_graph_pinned(n, m, mode, seed, digest):
+    text = serialize_edge_list(generate_graph(n, m, mode, seed))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_generate_graph_shape_and_weights():
@@ -144,6 +183,25 @@ def test_graph_validation():
     # 1.7 would truncate to 1 and duplicate the (0, 1) edge
     with pytest.raises(GraphFormatError, match="integers"):
         Graph(3, [(0, 1.7, 1.0), (0, 1, 2.0)])
+    with pytest.raises(GraphFormatError, match="integers"):
+        Graph(3, [(0, 1.0, 1.0)])
+    for bad in [(0, 1), (0, 1, 1.0, 2.0)]:
+        with pytest.raises(GraphFormatError, match=r"edges\[1\] is not an \(i, j, w\) triple"):
+            Graph(3, [(1, 2, 1.0), bad])
+    with pytest.raises(GraphFormatError, match=r"duplicate edge at edges\[2\]: \(2, 0, 3.0\)"):
+        Graph(3, [(0, 2, 1.0), (0, 1, 1.0), (2, 0, 3.0)])
+    with pytest.raises(GraphFormatError, match=r"out of range \[0, 3\) at edges\[0\]: \(-1, 1"):
+        Graph(3, [(-1, 1, 1.0)])
+    with pytest.raises(GraphFormatError, match="real numbers"):
+        Graph(3, [(0, 1, 1 + 2j)])
+    # numpy reads a bool among integer endpoints as 0 or 1
+    assert Graph(3, [(0, True, 1.0)]).edges == ((0, 1, 1.0),)
+    assert Graph(3, ((i, i + 1, 1.0) for i in range(2))).edges == (
+        (0, 1, 1.0), (1, 2, 1.0)
+    )
+    empty = Graph(3, [])
+    assert empty.edges == ()
+    assert [a.size for a in empty.edge_arrays] == [0, 0, 0]
 
 
 def test_adjacency():
