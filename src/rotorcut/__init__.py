@@ -6,7 +6,7 @@ stochastic reconfiguration, plus Procedure-Cut rounding back to a binary
 cut and a brute-force oracle for certification on small graphs.
 """
 
-from .bmz import BmzConfig, bmz_minimize, procedure_cut, random_start
+from .bmz import bmz_minimize, procedure_cut, random_start
 from .experiments import ExperimentSpec, SeedStats, run_experiment, run_sweep
 from .graph import (
     Graph,
@@ -30,7 +30,6 @@ from .rbm import (
 from .vmc import RunTrace, VmcConfig, run_vmc, write_trace_csv
 
 __all__ = [
-    "BmzConfig",
     "ExperimentSpec",
     "Graph",
     "GraphFormatError",

@@ -6,7 +6,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bmz import BmzConfig
 from .experiments import (
     INIT_MODES,
     SOLVERS,
@@ -57,13 +56,11 @@ def _spec_from_args(args) -> ExperimentSpec:
         learning_rate=args.learning_rate,
         proposal_step=args.step,
     )
-    bmz = BmzConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
     return ExperimentSpec(
         graph=_load_graph(args.graph),
         solver=args.solver,
         seeds=_parse_seeds(args.seeds),
         vmc=vmc,
-        bmz=bmz,
         init=args.init,
         alpha=args.alpha,
         r=args.r,
@@ -102,7 +99,7 @@ def cmd_sweep(args) -> int:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     # every default is the config field's own, so it is written once
-    spec, vmc, bmz = ExperimentSpec, VmcConfig, BmzConfig
+    spec, vmc = ExperimentSpec, VmcConfig
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--solver", choices=SOLVERS, default=spec.solver)
     p.add_argument("--seeds", default=",".join(map(str, spec.seeds)),
@@ -120,9 +117,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="visible-bias radius for pretrained init")
     p.add_argument("--sigma", type=float, default=spec.sigma,
                    help="stddev of random parameter init")
-    p.add_argument("--max-iters", type=int, default=bmz.max_iters,
-                   help="BMZ trust-region iteration cap")
-    p.add_argument("--grad-tol", type=float, default=bmz.grad_tol)
     p.add_argument("--workers", type=int, default=spec.workers)
     p.add_argument("--label", default=spec.label)
     p.add_argument("--out", default=spec.out_dir, help="artifact directory")

@@ -11,6 +11,7 @@ starting point from `[seed, 2]`.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bmz import BmzConfig, bmz_minimize, procedure_cut, random_start
+from .bmz import bmz_minimize, procedure_cut, random_start
 from .graph import Graph
 from .rbm import init_pretrained, init_random
 from .vmc import RunTrace, VmcConfig, run_vmc, write_trace_csv
@@ -51,7 +52,7 @@ class SeedStats:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one campaign needs: graph, solver, configs, seeds, output.
+    """Everything one campaign needs: graph, solver, VMC config, seeds, output.
 
     The RBM of the nqs stage has round(alpha * n) hidden units and
     N(0, sigma^2) couplings. init="pretrained" also starts its visible
@@ -63,7 +64,6 @@ class ExperimentSpec:
     solver: str = "nqs"
     seeds: tuple[int, ...] = tuple(range(10))
     vmc: VmcConfig = VmcConfig()
-    bmz: BmzConfig = BmzConfig()
     init: str = "random"
     alpha: float = 1.0
     r: float = 1.0
@@ -73,6 +73,10 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
+        try:  # stored as Python ints, which the summary JSON can hold
+            object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
+        except TypeError:
+            raise ValueError(f"seeds must be integers, got {self.seeds}") from None
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.init not in INIT_MODES:
@@ -85,6 +89,8 @@ class ExperimentSpec:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.workers < 1:
@@ -114,7 +120,7 @@ def run_seed(spec: ExperimentSpec, seed: int) -> list[SeedResult]:
     if spec.solver in ("bmz", "both") or spec.init == "pretrained":
         theta0 = random_start(g.n, seed=[seed, 2])
         t0 = time.perf_counter()
-        theta_star, energy, _ = bmz_minimize(g, theta0, spec.bmz)
+        theta_star, energy, _ = bmz_minimize(g, theta0)
         elapsed = time.perf_counter() - t0
         if spec.solver in ("bmz", "both"):
             cut_value, _ = procedure_cut(g, theta_star)
@@ -286,7 +292,6 @@ def _write_summary_json(
         "sigma": spec.sigma,
         "seeds": list(spec.seeds),
         "vmc_config": asdict(spec.vmc),
-        "bmz_config": asdict(spec.bmz),
         "stats": {
             solver: {
                 "mean": s.mean,

@@ -19,13 +19,13 @@ steps so the walkers relax after every parameter update.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .bmz import procedure_cut
 from .graph import Graph
@@ -50,6 +50,12 @@ class VmcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samp", "n_warm", "n_iter"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_warm < 0:
             raise ValueError("n_warm must be >= 0")
         if self.n_samp - self.n_warm < 2:
@@ -253,6 +259,9 @@ def minres_solve(
     because the benchmark's tracer still names it among its targets, and
     goes together with its tests once the benchmark times sr_solve instead.
     """
+    # the package never calls this, so `import rotorcut` need not load scipy's solvers
+    from scipy.sparse.linalg import LinearOperator, minres
+
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise FloatingPointError("non-finite right-hand side")

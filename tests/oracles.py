@@ -10,7 +10,10 @@ Procedure-Cut, the triplet-form Hessian and the one-pair rejection loop
 of the graph generator are the package's former implementations, kept to
 cross-check the Cartesian objective, the sorted sweep and the batched
 generator that replaced them; they share only the input normalisation
-(wrap_angles) and cut_value with the package.
+(wrap_angles) and cut_value with the package. The trust-region loop that
+assembles the Hessian on every iteration is the former bmz_minimize; it
+shares the objective and the Steihaug-CG step with the package, so that
+it pins the loop alone.
 """
 
 import itertools
@@ -19,7 +22,8 @@ import mpmath
 import numpy as np
 from scipy import sparse
 
-from rotorcut import cut_value, wrap_angles
+from rotorcut import cost, cost_gradient, cost_hessian, cut_value, wrap_angles
+from rotorcut.bmz import _check_angles, _steihaug_cg
 
 mpmath.mp.dps = 50
 
@@ -220,3 +224,37 @@ def loop_generated_edges(n, m_edges, weight_mode, seed):
         lo, hi = weight_mode
         weights = rng.uniform(lo, hi, size=m_edges).tolist()
     return tuple((i, j, w) for (i, j), w in zip(sorted(chosen), weights))
+
+
+def hessian_every_iteration_bmz(g, theta0):
+    """bmz_minimize as it was with its default settings: the Hessian is
+    assembled at the top of every iteration, also after a rejected step,
+    where the point has not moved. Returns (theta, energy, iters)."""
+    theta = _check_angles(g, theta0)
+    f = cost(g, theta)
+    grad = cost_gradient(g, theta)
+    radius = 1.0
+    iters = 0
+    for _ in range(500):
+        if float(np.max(np.abs(grad))) <= 1e-8:
+            break
+        iters += 1
+        hess = cost_hessian(g, theta)
+        p = _steihaug_cg(grad, hess, radius)
+        pred = -(float(grad @ p) + 0.5 * float(p @ (hess @ p)))
+        theta_trial = theta + p
+        f_trial = cost(g, theta_trial)
+        actual = f - f_trial
+        ratio = actual / pred if pred > 0.0 else -np.inf
+        if ratio < 0.25:
+            radius *= 0.25
+        elif ratio > 0.75 and np.linalg.norm(p) >= 0.99 * radius:
+            radius = min(2.0 * radius, 10.0)
+        if actual > 0.0:
+            theta = theta_trial
+            f = f_trial
+            grad = cost_gradient(g, theta)
+        if radius < 1e-13:
+            break
+    theta = wrap_angles(theta)
+    return theta, cost(g, theta), iters

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rotorcut
@@ -6,7 +9,7 @@ import rotorcut
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = {
-    "BmzConfig", "ExperimentSpec", "Graph", "GraphFormatError", "RbmParams",
+    "ExperimentSpec", "Graph", "GraphFormatError", "RbmParams",
     "RunTrace", "SeedStats", "VmcConfig",
     "bmz_minimize", "procedure_cut", "random_start",
     "run_experiment", "run_sweep",
@@ -21,7 +24,7 @@ PUBLIC = {
 
 def test_public_surface_is_pinned():
     # a helper added to __init__.py must be added here on purpose
-    assert len(rotorcut.__all__) == len(PUBLIC) == 30
+    assert len(rotorcut.__all__) == len(PUBLIC) == 29
     assert set(rotorcut.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(rotorcut, name).__module__.startswith("rotorcut."), name
@@ -30,3 +33,13 @@ def test_public_surface_is_pinned():
     imported = re.search(r"from rotorcut import \(([^)]*)\)", block).group(1)
     names = {tok.strip() for tok in imported.split(",") if tok.strip()}
     assert names and names <= PUBLIC, names - PUBLIC
+
+
+def test_import_does_not_load_scipy_solvers():
+    # only minres_solve, which the package never calls, uses scipy.sparse.linalg
+    src = Path(rotorcut.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, rotorcut; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -3,19 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rotorcut.bmz
 from rotorcut import (
-    BmzConfig,
     Graph,
     bmz_minimize,
     brute_force_max_cut,
     cost,
     cost_gradient,
+    cost_hessian,
     cut_value,
     generate_graph,
     procedure_cut,
     random_start,
 )
-from oracles import dense_procedure_cut
+from oracles import dense_procedure_cut, hessian_every_iteration_bmz
 
 # rotor minima with closed forms: complete graphs give (|sum of unit
 # vectors|^2 - n)/2 >= -n/2 for odd frustration, cycles of odd length n
@@ -88,16 +89,65 @@ def test_output_wrapped():
     assert np.all(theta >= 0.0) and np.all(theta < 2.0 * np.pi)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BmzConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        BmzConfig(grad_tol=-1.0)
-
-
 def test_shape_mismatch(k3):
     with pytest.raises(ValueError):
         bmz_minimize(k3, np.zeros(4))
+
+
+def assert_matches_reference_loop(g, theta0):
+    theta, energy, iters = bmz_minimize(g, theta0)
+    ref_theta, ref_energy, ref_iters = hessian_every_iteration_bmz(g, theta0)
+    np.testing.assert_array_equal(theta, ref_theta)
+    assert energy == ref_energy and iters == ref_iters
+    value, x = procedure_cut(g, theta)
+    ref_value, ref_x = procedure_cut(g, ref_theta)
+    assert value == ref_value
+    np.testing.assert_array_equal(x, ref_x)
+
+
+def test_matches_reference_loop_on_named_suite(small_suite):
+    for g in small_suite.values():
+        for seed in range(4):
+            assert_matches_reference_loop(g, random_start(g.n, seed=seed))
+
+
+def test_matches_reference_loop_on_random_graphs():
+    rng = np.random.default_rng(30)
+    for k in range(40):
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(0, min(n * (n - 1) // 2, 6 * n) + 1))
+        mode = "unit" if k % 2 else (0.0, 15.0)
+        g = generate_graph(n, m, mode, int(rng.integers(1 << 30)))
+        assert_matches_reference_loop(g, random_start(n, seed=int(rng.integers(1 << 30))))
+
+
+def test_matches_reference_loop_on_bmz_sparse_graph():
+    g = generate_graph(800, 19176, "unit", 0)
+    for seed in range(2):
+        assert_matches_reference_loop(g, random_start(g.n, seed=seed))
+
+
+def test_one_hessian_per_accepted_point(monkeypatch, k3):
+    hessians = 0
+
+    def counted(g, theta):
+        nonlocal hessians
+        hessians += 1
+        return cost_hessian(g, theta)
+
+    monkeypatch.setattr(rotorcut.bmz, "cost_hessian", counted)
+    cases = [(k3, np.zeros(3))] + [
+        (generate_graph(40, 200, (0.0, 15.0), seed), random_start(40, seed=seed))
+        for seed in range(5)
+    ]
+    rejected = 0
+    for g, theta0 in cases:
+        hessians = 0
+        points = []
+        _, _, iters = bmz_minimize(g, theta0, callback=lambda t, e: points.append(e))
+        assert hessians == len(points)
+        rejected += iters - (len(points) - 1)
+    assert rejected > 0  # the cases include steps the old loop re-assembled for
 
 
 def test_random_start_deterministic():

@@ -124,6 +124,9 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     code = main(["run", str(path), "--seeds", "0,0"])
     assert code == 2
     assert "distinct" in capsys.readouterr().err
+    code = main(["run", str(path), "--seeds", "-1"])
+    assert code == 2
+    assert "seeds" in capsys.readouterr().err
 
 
 def test_numerical_failure_is_reported(tmp_path, capsys, monkeypatch):

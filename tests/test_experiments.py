@@ -29,6 +29,11 @@ def test_spec_validation(k3):
         ExperimentSpec(graph=k3, seeds=())
     with pytest.raises(ValueError, match="distinct"):
         ExperimentSpec(graph=k3, seeds=(0, 0))
+    for bad in ((1.5,), (-1,), ("0",)):
+        with pytest.raises(ValueError, match="seeds"):
+            ExperimentSpec(graph=k3, seeds=bad)
+    seeds = ExperimentSpec(graph=k3, seeds=tuple(np.arange(2))).seeds
+    assert seeds == (0, 1) and all(type(s) is int for s in seeds)
     with pytest.raises(ValueError):
         ExperimentSpec(graph=k3, workers=0)
     for bad in (0.0, np.nan, np.inf):
@@ -103,6 +108,15 @@ def test_run_experiment_stats_and_artifacts(k3, tmp_path):
     init = {key: summary[key] for key in ("init", "alpha", "r", "sigma")}
     assert init == {"init": "pretrained", "alpha": 2.0, "r": 1.5, "sigma": 0.2}
     assert "alpha" not in summary["vmc_config"]
+    assert summary["seeds"] == [0, 1, 2]
+
+    spec = ExperimentSpec(
+        graph=k3, solver="bmz", seeds=tuple(np.arange(3, 5)),
+        label="numpy_seeds", out_dir=str(tmp_path),
+    )
+    run_experiment(spec)
+    summary = json.loads((tmp_path / "numpy_seeds_summary.json").read_text())
+    assert summary["seeds"] == [3, 4]
 
 
 def test_rerun_reproduces_csv_bodies(k3, tmp_path):
