@@ -18,7 +18,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .graph import Graph, cut_value
-from .objective import TWO_PI, cost, cost_gradient, cost_hessian, wrap_angles
+from .objective import (
+    TWO_PI,
+    _cartesian,
+    _energy,
+    _fill_hessian,
+    _gradient,
+    cost,
+    wrap_angles,
+)
 
 # stopping rule: ||grad||_inf <= _GRAD_TOL, _MAX_ITERS iterations, or a
 # radius below _RADIUS_FLOOR, where the model reduction is under the
@@ -103,8 +111,11 @@ def bmz_minimize(
     _RADIUS_FLOOR; on the bmz-sparse graphs (seeds 0-3, 5 starts each) 25
     of 40 solves stop on the gradient and 15 on the floor. Only strictly
     decreasing steps are accepted, so iterate energies are non-increasing
-    and the result never exceeds cost(g, theta0). The model (f, grad,
-    Hessian) is rebuilt only at an accepted point (Nocedal & Wright, 4.1).
+    and the result never exceeds cost(g, theta0). The rotor model
+    (c, s, Ac, As) is evaluated once per trial point; f, grad and the
+    Hessian change only at an accepted point (Nocedal & Wright, 4.1), where
+    they come from that point's model, and the Hessian's data is refilled
+    in place on one copy of g.adjacency.
 
     callback, if given, receives (theta, energy) at the start and after
     every accepted step. Raises ValueError if theta0 has the wrong length
@@ -112,9 +123,11 @@ def bmz_minimize(
     """
     theta = _check_angles(g, theta0)
 
-    f = cost(g, theta)
-    grad = cost_gradient(g, theta)
-    hess = cost_hessian(g, theta)
+    model = _cartesian(g, theta)
+    f = float(_energy(*model))
+    grad = _gradient(*model)
+    hess = g.adjacency.copy()
+    _fill_hessian(g, *model, hess.data)
     radius = _RADIUS_INIT
     if callback is not None:
         callback(theta.copy(), f)
@@ -127,7 +140,8 @@ def bmz_minimize(
         p = _steihaug_cg(grad, hess, radius)
         pred = -(float(grad @ p) + 0.5 * float(p @ (hess @ p)))
         theta_trial = theta + p
-        f_trial = cost(g, theta_trial)
+        model = _cartesian(g, theta_trial)
+        f_trial = float(_energy(*model))
         actual = f - f_trial
         ratio = actual / pred if pred > 0.0 else -np.inf
 
@@ -139,8 +153,8 @@ def bmz_minimize(
         if actual > 0.0:
             theta = theta_trial
             f = f_trial
-            grad = cost_gradient(g, theta)
-            hess = cost_hessian(g, theta)
+            grad = _gradient(*model)
+            _fill_hessian(g, *model, hess.data)
             if callback is not None:
                 callback(wrap_angles(theta), f)
 

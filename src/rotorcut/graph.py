@@ -99,6 +99,18 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    def _symmetric(self, upper: np.ndarray, diag: np.ndarray) -> sparse.csr_array:
+        """n x n CSR matrix with upper[k] at (i, j) and (j, i) for edge k =
+        (i, j), and diag[i] at (i, i). Column indices are sorted within each
+        row, so every matrix built here stores its entries in the same order.
+        """
+        ii, jj, _ = self.edge_arrays
+        d = np.arange(self.n, dtype=np.intp)
+        rows = np.concatenate([ii, jj, d])
+        cols = np.concatenate([jj, ii, d])
+        data = np.concatenate([upper, upper, diag])
+        return sparse.coo_array((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+
     @cached_property
     def adjacency(self) -> sparse.csr_array:
         """Weighted adjacency as a symmetric n x n CSR matrix: w_ij at (i, j)
@@ -106,12 +118,15 @@ class Graph:
         entry, so the rotor Hessian (objective.cost_hessian) fills this same
         pattern. Column indices are sorted within each row.
         """
-        ii, jj, ww = self.edge_arrays
-        diag = np.arange(self.n, dtype=np.intp)
-        rows = np.concatenate([ii, jj, diag])
-        cols = np.concatenate([jj, ii, diag])
-        data = np.concatenate([ww, ww, np.zeros(self.n)])
-        return sparse.coo_array((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        return self._symmetric(self.edge_arrays[2], np.zeros(self.n))
+
+    @cached_property
+    def _hessian_slots(self) -> np.ndarray:
+        """For each stored entry of adjacency, in order, where the rotor
+        Hessian takes its value from: k for edge k, at (i, j) or (j, i), and
+        m + i for the diagonal entry (i, i)."""
+        k = np.arange(self.m + self.n, dtype=np.intp)
+        return self._symmetric(k[:self.m], k[self.m:]).data
 
     @property
     def total_weight(self) -> float:

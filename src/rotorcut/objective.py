@@ -15,7 +15,9 @@ adjacency A (Graph.adjacency), cos(t_i - t_j) = c_i c_j + s_i s_j gives
     H      = A * (c c' + s s') - diag(c * Ac + s * As),
 
 so each call takes n cosines and n sines and products with A, and no
-per-edge trigonometry.
+per-edge trigonometry. The private helpers below share one model
+(c, s, Ac, As) of a point, so a caller that needs f, grad f and H at the
+same point (bmz_minimize) evaluates it once.
 """
 
 from __future__ import annotations
@@ -56,6 +58,33 @@ def _cartesian(g: Graph, theta, batch: bool = False) -> tuple[np.ndarray, ...]:
     return c, s, ac, as_
 
 
+def _energy(c, s, ac, as_) -> np.ndarray:
+    """(c.Ac + s.As) / 2 over the last axis of a _cartesian model."""
+    # every configuration's products are one contiguous row, so each row
+    # sums exactly as a single configuration does
+    return 0.5 * ((c * ac).sum(axis=-1) + (s * as_).sum(axis=-1))
+
+
+def _gradient(c, s, ac, as_) -> np.ndarray:
+    """c * As - s * Ac from a single-configuration _cartesian model."""
+    return c * as_ - s * ac
+
+
+def _fill_hessian(g: Graph, c, s, ac, as_, out: np.ndarray) -> None:
+    """Write the Hessian's data, in the stored order of g.adjacency, into
+    out from a single-configuration _cartesian model: w_ij (c_i c_j + s_i s_j)
+    is taken once per edge and the diagonal once per vertex, then each
+    stored entry gathers its value (Graph._hessian_slots)."""
+    ii, jj, ww = g.edge_arrays
+    values = np.empty(g.m + g.n)
+    edge = values[:g.m]
+    np.multiply(c[ii], c[jj], out=edge)
+    edge += s[ii] * s[jj]
+    edge *= ww
+    values[g.m:] = -(c * ac + s * as_)
+    np.take(values, g._hessian_slots, out=out)
+
+
 def cost(g: Graph, theta) -> float | np.ndarray:
     """Rotor energy sum_edges w_ij * cos(t_i - t_j) = (c.Ac + s.As) / 2.
 
@@ -63,18 +92,14 @@ def cost(g: Graph, theta) -> float | np.ndarray:
     array of shape (K,), each entry equal to the single-configuration value.
     Invariant under global rotation t -> t + phi and reflection t -> -t.
     """
-    c, s, ac, as_ = _cartesian(g, theta, batch=True)
-    # every configuration's products are one contiguous row, so each row
-    # sums exactly as a single configuration does
-    e = 0.5 * ((c * ac).sum(axis=-1) + (s * as_).sum(axis=-1))
-    return float(e) if c.ndim == 1 else e
+    e = _energy(*_cartesian(g, theta, batch=True))
+    return float(e) if e.ndim == 0 else e
 
 
 def cost_gradient(g: Graph, theta) -> np.ndarray:
     """Analytic gradient: d/dt_i = -sum_j w_ij * sin(t_i - t_j)
     = c_i (As)_i - s_i (Ac)_i."""
-    c, s, ac, as_ = _cartesian(g, theta)
-    return c * as_ - s * ac
+    return _gradient(*_cartesian(g, theta))
 
 
 def cost_hessian(g: Graph, theta) -> sparse.csr_array:
@@ -83,11 +108,9 @@ def cost_hessian(g: Graph, theta) -> sparse.csr_array:
     H_ij = w_ij * cos(t_i - t_j) on edges, H_ii = -sum_j w_ij * cos(t_i - t_j).
     Off-edge entries are structurally zero; graphs here are sparse, so no
     dense assembly. The pattern is that of Graph.adjacency, whose explicit
-    diagonal zeros reserve the diagonal; each call only fills the data array.
+    diagonal zeros reserve the diagonal; each call fills the data of a fresh
+    copy of it.
     """
-    c, s, ac, as_ = _cartesian(g, theta)
-    a = g.adjacency
-    rows, cols = np.repeat(np.arange(g.n), np.diff(a.indptr)), a.indices
-    data = a.data * (c[rows] * c[cols] + s[rows] * s[cols])
-    data[rows == cols] = -(c * ac + s * as_)
-    return sparse.csr_array((data, cols, a.indptr), shape=(g.n, g.n))
+    hess = g.adjacency.copy()
+    _fill_hessian(g, *_cartesian(g, theta), hess.data)
+    return hess

@@ -50,12 +50,14 @@ class VmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samp", "n_warm", "n_iter"):
+        for name in ("n_samp", "n_warm", "n_iter", "seed"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_warm < 0:
             raise ValueError("n_warm must be >= 0")
         if self.n_samp - self.n_warm < 2:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rotorcut.bmz
+import rotorcut.objective
 from rotorcut import (
     Graph,
     bmz_minimize,
@@ -122,32 +123,73 @@ def test_matches_reference_loop_on_random_graphs():
 
 
 def test_matches_reference_loop_on_bmz_sparse_graph():
-    g = generate_graph(800, 19176, "unit", 0)
-    for seed in range(2):
-        assert_matches_reference_loop(g, random_start(g.n, seed=seed))
+    # both bmz-sparse shapes: G1-sized, and larger and six times sparser
+    graphs = generate_graph(800, 19176, "unit", 0), generate_graph(2000, 8000, "unit", [0, 1])
+    for g in graphs:
+        for seed in range(2):
+            assert_matches_reference_loop(g, random_start(g.n, seed=seed))
 
 
-def test_one_hessian_per_accepted_point(monkeypatch, k3):
-    hessians = 0
-
-    def counted(g, theta):
-        nonlocal hessians
-        hessians += 1
-        return cost_hessian(g, theta)
-
-    monkeypatch.setattr(rotorcut.bmz, "cost_hessian", counted)
-    cases = [(k3, np.zeros(3))] + [
+def bmz_cases(k3):
+    """A stationary start and weighted starts that include rejected steps."""
+    return [(k3, np.zeros(3))] + [
         (generate_graph(40, 200, (0.0, 15.0), seed), random_start(40, seed=seed))
         for seed in range(5)
     ]
+
+
+def test_one_hessian_per_accepted_point(monkeypatch, k3):
+    fills = 0
+    fill_hessian = rotorcut.bmz._fill_hessian
+
+    def counted(*args):
+        nonlocal fills
+        fills += 1
+        return fill_hessian(*args)
+
+    monkeypatch.setattr(rotorcut.bmz, "_fill_hessian", counted)
     rejected = 0
-    for g, theta0 in cases:
-        hessians = 0
+    for g, theta0 in bmz_cases(k3):
+        fills = 0
         points = []
         _, _, iters = bmz_minimize(g, theta0, callback=lambda t, e: points.append(e))
-        assert hessians == len(points)
+        assert fills == len(points)
         rejected += iters - (len(points) - 1)
     assert rejected > 0  # the cases include steps the old loop re-assembled for
+
+
+def test_one_model_per_trial_point(monkeypatch, k3):
+    # the start, one trial point per iteration, and the final cost at the
+    # wrapped angles; the gradient and Hessian reuse the trial point's model
+    models = 0
+    cartesian = rotorcut.objective._cartesian
+
+    def counted(*args, **kwargs):
+        nonlocal models
+        models += 1
+        return cartesian(*args, **kwargs)
+
+    monkeypatch.setattr(rotorcut.objective, "_cartesian", counted)
+    monkeypatch.setattr(rotorcut.bmz, "_cartesian", counted)
+    for g, theta0 in bmz_cases(k3):
+        models = 0
+        _, _, iters = bmz_minimize(g, theta0)
+        assert models == iters + 2
+
+
+def test_minimize_leaves_adjacency_unchanged():
+    g = generate_graph(40, 200, (0.0, 15.0), 3)
+    a = g.adjacency
+    before = [x.copy() for x in (a.data, a.indices, a.indptr)]
+    bmz_minimize(g, random_start(g.n, seed=3))
+    assert g.adjacency is a
+    for x, y in zip(before, (a.data, a.indices, a.indptr)):
+        np.testing.assert_array_equal(x, y)
+    h1 = cost_hessian(g, random_start(g.n, seed=4))
+    h2 = cost_hessian(g, random_start(g.n, seed=5))
+    for field in ("data", "indices", "indptr"):
+        for x, y in ((h1, h2), (h1, a), (h2, a)):
+            assert not np.shares_memory(getattr(x, field), getattr(y, field)), field
 
 
 def test_random_start_deterministic():

@@ -226,3 +226,30 @@ def test_adjacency():
         np.testing.assert_array_equal(a.indices[on_diag], np.arange(g.n))
         np.testing.assert_array_equal(a.data[on_diag], 0.0)
         assert g.adjacency is a
+
+
+def test_hessian_slots():
+    cases = [
+        generate_graph(5, 0, "unit", 0),
+        parse_edge_list(K3_TEXT),
+        generate_graph(9, 14, weight_mode=(0.0, 15.0), seed=5),
+        generate_graph(40, 300, weight_mode=(-2.0, 3.0), seed=6),
+    ]
+    for g in cases:
+        a, slots = g.adjacency, g._hessian_slots
+        assert slots.shape == a.indices.shape and slots.dtype == np.intp
+        # the row of every stored entry, read from the CSR indptr
+        rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
+        on_diag = slots >= g.m
+        # exactly one diagonal slot per row, on the diagonal entry
+        np.testing.assert_array_equal(rows[on_diag], np.arange(g.n))
+        np.testing.assert_array_equal(a.indices[on_diag], np.arange(g.n))
+        np.testing.assert_array_equal(slots[on_diag], g.m + np.arange(g.n))
+        # every other slot names the edge between its row and column, and
+        # each edge fills two slots, (i, j) and (j, i)
+        k = slots[~on_diag]
+        ends = np.sort([rows[~on_diag], a.indices[~on_diag]], axis=0)
+        ii, jj, _ = g.edge_arrays
+        np.testing.assert_array_equal(ends, [ii[k], jj[k]])
+        np.testing.assert_array_equal(np.bincount(k, minlength=g.m), np.full(g.m, 2))
+        assert g._hessian_slots is slots

@@ -61,8 +61,14 @@ def test_config_validation():
     for field, bad in (("n_warm", 1.5), ("n_iter", 2.5), ("n_samp", 10.0)):
         with pytest.raises(ValueError, match=field):
             VmcConfig(**{"n_samp": 10, field: bad})
-    cfg = VmcConfig(n_samp=np.int64(10), n_warm=np.int64(1), n_iter=np.int64(3))
-    assert all(type(v) is int for v in (cfg.n_samp, cfg.n_warm, cfg.n_iter))
+    for bad in (-1, 1.5, "0"):
+        with pytest.raises(ValueError, match="seed"):
+            VmcConfig(seed=bad)
+    cfg = VmcConfig(
+        n_samp=np.int64(10), n_warm=np.int64(1), n_iter=np.int64(3), seed=np.uint32(7)
+    )
+    assert all(type(v) is int for v in (cfg.n_samp, cfg.n_warm, cfg.n_iter, cfg.seed))
+    assert cfg.seed == 7
 
 
 def test_chain_init_deterministic():
