@@ -21,6 +21,7 @@ I1/I0 and drive the stochastic reconfiguration update.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,9 +48,10 @@ def _log_i0(arr: np.ndarray) -> np.ndarray:
     arguments switch to log1p of the power series. Stays accurate out to
     x ~ 1e6 and beyond, where log I0(x) ~ x - log(2*pi*x)/2.
     """
-    large = arr + np.log(special.i0e(arr))
+    large = np.log(special.i0e(arr))
+    large += arr
     # the usual case on the sampling path: no argument needs the series
-    if arr.size and arr.min() > 0.05:
+    if arr.size and np.minimum.reduce(arr, axis=None) > 0.05:
         return large
     x2 = arr * arr
     # series truncation error is below 1e-15 relative for x <= 0.05
@@ -146,11 +148,12 @@ def _fields(p: RbmParams, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if theta.ndim not in (1, 2) or theta.shape[-1] != p.n:
         raise ValueError(f"rotor configs of shape {theta.shape} do not match n={p.n}")
     v = visible_vectors(theta)
-    u = p.b + p.a @ v
+    u = p.a @ v
+    u += p.b
     sq = np.add.reduce(u * u, axis=-1)
-    if not np.isfinite(sq.sum()):
+    if not math.isfinite(np.add.reduce(sq, axis=None)):
         raise ValueError("rotor angles must be finite")
-    return v, u, np.sqrt(sq)
+    return v, u, np.sqrt(sq, out=sq)
 
 
 def log_psi(p: RbmParams, theta) -> float:
@@ -158,7 +161,10 @@ def log_psi(p: RbmParams, theta) -> float:
     v, _, norms = _fields(p, theta)
     if v.ndim != 2:
         raise ValueError("log_psi scores one configuration of shape (n,)")
-    return float((p.c * v).sum() + p.m * _LOG_TWO_PI + _log_i0(norms).sum())
+    v *= p.c
+    return float(
+        np.add.reduce(v, axis=None) + p.m * _LOG_TWO_PI + np.add.reduce(_log_i0(norms))
+    )
 
 
 def log_derivatives(p: RbmParams, theta) -> np.ndarray:

@@ -14,11 +14,15 @@ identity). The local energy is exactly the rotor cost: the Hamiltonian is
 diagonal, so there is no kinetic contribution.
 
 The chain persists across iterations; each batch discards its first n_warm
-steps so the walkers relax after every parameter update.
+steps so the walkers relax after every parameter update. A segment's
+randomness is drawn from the chain's generator once, before its first
+step, in the order a per-step draw would consume it; a step is then
+deterministic given its proposal offset and log u.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -64,6 +68,10 @@ class VmcConfig:
             raise ValueError("need n_samp - n_warm >= 2 kept samples")
         if self.n_iter < 1:
             raise ValueError("n_iter must be >= 1")
+        for name in ("lambda_reg", "learning_rate", "proposal_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.lambda_reg < 0:
             raise ValueError("lambda_reg must be >= 0")
         if self.learning_rate <= 0:
@@ -72,19 +80,19 @@ class VmcConfig:
             raise ValueError("proposal_step must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainState:
     """One Metropolis walker: position, cached log psi, and its generator.
 
     The cache always equals log_psi(params, theta) for the parameters the
-    chain is currently sampling; `accepted` records the outcome of the most
-    recent step.
+    chain is currently sampling. mh_step and sample_batch advance the walker
+    in place; an accepted step rebinds theta to a new array, so an array
+    once read from it never changes.
     """
 
     theta: np.ndarray
     log_psi: float
     rng: np.random.Generator
-    accepted: bool = False
 
 
 @dataclass(frozen=True)
@@ -164,21 +172,26 @@ def chain_init(p: RbmParams, seed) -> ChainState:
     return ChainState(theta=theta, log_psi=log_psi(p, theta), rng=rng)
 
 
-def mh_step(p: RbmParams, s: ChainState, step: float) -> ChainState:
+def mh_step(p: RbmParams, s: ChainState, delta: np.ndarray, log_u: float) -> bool:
     """One random-walk Metropolis step targeting the Born density.
 
-    Proposes t' = t + delta with delta ~ Uniform(-step, step) per
-    coordinate (wrapped mod 2*pi) and accepts with probability
-    min(1, exp(2*(log_psi(t') - log_psi(t)))). The proposal is symmetric on
-    the torus, so this satisfies detailed balance for pi ~ psi^2.
+    Proposes t' = t + delta (wrapped mod 2*pi) and accepts if
+    log_u < 2*(log_psi(t') - log_psi(t)), which for log_u = log U with
+    U ~ Uniform(0, 1) is acceptance with probability
+    min(1, exp(2*(log_psi(t') - log_psi(t)))). With delta ~ Uniform(-step,
+    step) per coordinate the proposal is symmetric on the torus, so this
+    satisfies detailed balance for pi ~ psi^2. The step draws nothing: it
+    is deterministic given (delta, log_u). Advances s in place and returns
+    whether the proposal was accepted.
     """
-    delta = s.rng.uniform(-step, step, size=s.theta.size)
-    proposal = np.mod(s.theta + delta, TWO_PI)
+    proposal = s.theta + delta
+    np.mod(proposal, TWO_PI, out=proposal)
     lp = log_psi(p, proposal)
-    log_ratio = 2.0 * (lp - s.log_psi)
-    if np.log(s.rng.random()) < log_ratio:
-        return ChainState(theta=proposal, log_psi=lp, rng=s.rng, accepted=True)
-    return ChainState(theta=s.theta, log_psi=s.log_psi, rng=s.rng, accepted=False)
+    if log_u < 2.0 * (lp - s.log_psi):
+        s.theta = proposal
+        s.log_psi = lp
+        return True
+    return False
 
 
 def sample_batch(
@@ -186,21 +199,34 @@ def sample_batch(
 ) -> tuple[SrBatch, ChainState]:
     """Advance the chain n_samp steps, keeping the last n_samp - n_warm.
 
+    The segment's randomness is drawn at once: one row of n + 1 uniforms
+    per step from the chain's generator, the first n scaled to the
+    proposal offset in [-step, step) and the last giving log u. These are
+    the same numbers in the same order as drawing
+    rng.uniform(-step, step, n) and then rng.random() at every step, so the
+    chain is the one a per-step draw would give, bit for bit.
+
     Warm steps are discarded without evaluating derivatives or energies.
     A rejected step leaves the walker where it was, so it adds one to the
     count of the current row instead of a row of its own: the batch holds
     the first kept position and every later kept position the walker moved
-    to, evaluated in one log-derivative and one cost call. The returned
-    chain continues from where the segment ended.
+    to, evaluated in one log-derivative and one cost call. The chain is
+    advanced in place and returned; it continues from where the segment
+    ended.
     """
+    n, step = s.theta.size, cfg.proposal_step
+    draws = s.rng.random((cfg.n_samp, n + 1))
+    # Generator.uniform(-step, step) computes -step + (2*step)*u: same roundings
+    deltas = draws[:, :n] * (2.0 * step) - step
+    log_u = np.log(draws[:, n]).tolist()
     positions, counts = [], []
     accepts = 0
     for k in range(cfg.n_samp):
-        s = mh_step(p, s, cfg.proposal_step)
-        accepts += s.accepted
+        accepted = mh_step(p, s, deltas[k], log_u[k])
+        accepts += accepted
         if k < cfg.n_warm:
             continue
-        if s.accepted or not counts:
+        if accepted or not counts:
             positions.append(s.theta)
             counts.append(1)
         else:

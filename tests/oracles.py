@@ -13,14 +13,16 @@ generator that replaced them; they share only the input normalisation
 (wrap_angles) and cut_value with the package. The trust-region loop that
 assembles the Hessian on every iteration is the former bmz_minimize; it
 shares the objective and the Steihaug-CG step with the package, so that
-it pins the loop alone.
+it pins the loop alone. The former log psi, which allocated every
+intermediate, and the former Metropolis draw, taken one step at a time,
+pin the in-place log psi and the segment draw of the sampler bit for bit.
 """
 
 import itertools
 
 import mpmath
 import numpy as np
-from scipy import sparse
+from scipy import sparse, special
 
 from rotorcut import cost, cost_gradient, cost_hessian, cut_value, wrap_angles
 from rotorcut.bmz import _check_angles, _steihaug_cg
@@ -150,6 +152,29 @@ def quadrature_log_psi(a, b, c, theta, points=4096):
         peak = vals.max()
         total += peak + np.log(np.exp(vals - peak).sum()) + np.log(TWO_PI / points)
     return total
+
+
+def former_log_psi(p, theta):
+    """log psi of one configuration as the package computed it before its
+    evaluator worked in place: the same operands in the same order, each
+    intermediate a fresh array."""
+    theta = np.asarray(theta, dtype=float)
+    v = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    u = p.b + p.a @ v
+    norms = np.sqrt(np.add.reduce(u * u, axis=-1))
+    log_i0 = norms + np.log(special.i0e(norms))
+    if not norms.min() > 0.05:
+        x2 = norms * norms
+        small = np.log1p(x2 / 4.0 + x2 * x2 / 64.0 + x2 * x2 * x2 / 2304.0)
+        log_i0 = np.where(norms <= 0.05, small, log_i0)
+    return float((p.c * v).sum() + p.m * np.log(TWO_PI) + log_i0.sum())
+
+
+def per_step_draw(rng, n, step):
+    """The randomness of one Metropolis step as the sampler once drew it at
+    every step: the proposal offset, then log u for the acceptance test."""
+    delta = rng.uniform(-step, step, size=n)
+    return delta, np.log(rng.random())
 
 
 def dense_sr_metric(o_matrix, lam):

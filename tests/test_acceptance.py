@@ -42,6 +42,7 @@ from oracles import (
     heisenberg_expectation,
     mp_bessel_ratio,
     mp_log_i0,
+    per_step_draw,
     quadrature_log_psi,
 )
 
@@ -282,7 +283,7 @@ def test_sampler_total_variation():
     s = chain_init(p, seed=42)
     thetas = np.empty((n_samp, 2))
     for k in range(-n_warm, n_samp):
-        s = mh_step(p, s, step)
+        mh_step(p, s, *per_step_draw(s.rng, 2, step))
         if k >= 0:
             thetas[k] = s.theta
     hist, _, _ = np.histogram2d(

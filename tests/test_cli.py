@@ -121,6 +121,15 @@ def test_invalid_config_is_reported(tmp_path, capsys):
         code = main(["run", str(path), "--sigma", bad])
         assert code == 2
         assert "sigma" in capsys.readouterr().err
+    for flag, field in (
+        ("--step", "proposal_step"),
+        ("--learning-rate", "learning_rate"),
+        ("--lambda-reg", "lambda_reg"),
+    ):
+        for bad in ("inf", "nan"):
+            code = main(["run", str(path), flag, bad])
+            assert code == 2
+            assert field in capsys.readouterr().err
     code = main(["run", str(path), "--seeds", "0,0"])
     assert code == 2
     assert "distinct" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from rotorcut import (
     save_params,
 )
 from rotorcut.rbm import PACKING_VERSION, _fields, _log_i0, _ratio, visible_vectors
-from oracles import mp_bessel_ratio, mp_log_i0, quadrature_log_psi
+from oracles import former_log_psi, mp_bessel_ratio, mp_log_i0, quadrature_log_psi
 
 
 def random_params(n, m, sigma=0.8, seed=0):
@@ -32,10 +32,12 @@ def test_bessel_trivial_values():
 
 
 def test_bessel_against_mpmath():
+    # numpy scalars and 0-d arrays, on both sides of the series switch
     grid = np.logspace(-8, 6, 60)
     for x in grid:
-        assert float(_log_i0(x)) == pytest.approx(mp_log_i0(x), rel=1e-10, abs=1e-300)
-        assert float(_ratio(x)) == pytest.approx(mp_bessel_ratio(x), rel=1e-10)
+        for arg in (x, np.array(x)):
+            assert float(_log_i0(arg)) == pytest.approx(mp_log_i0(x), rel=1e-10, abs=1e-300)
+            assert float(_ratio(arg)) == pytest.approx(mp_bessel_ratio(x), rel=1e-10)
 
 
 def test_bessel_ratio_monotone_bounded():
@@ -122,6 +124,22 @@ def test_hidden_fields_formula():
     for k, theta in enumerate(thetas):
         for got, want in zip((v[k], u[k], norms[k]), _fields(p, theta)):
             np.testing.assert_array_equal(got, want)
+
+
+def test_log_psi_equals_former_formula():
+    # the in-place evaluator keeps every operand and its order, so it is
+    # bit-identical to the former one; sigma = 0.01 puts hidden fields
+    # below 0.05, on the series branch of log I0
+    rng = np.random.default_rng(40)
+    series = 0
+    for n in (2, 3, 10, 50):
+        for k, sigma in enumerate((0.01, 0.3, 2.0)):
+            p = random_params(n, max(1, n // (k + 1)), sigma=sigma, seed=n + k)
+            thetas = rng.uniform(-10.0, 10.0, (700, n))
+            for theta in thetas:
+                assert log_psi(p, theta) == former_log_psi(p, theta)
+            series += int((_fields(p, thetas)[2] <= 0.05).any(axis=1).sum())
+    assert series >= 1000
 
 
 def test_log_psi_matches_quadrature():

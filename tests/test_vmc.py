@@ -22,7 +22,7 @@ from rotorcut.vmc import (
     sr_iteration,
     sr_solve,
 )
-from oracles import dense_sr_metric, direct_forces
+from oracles import dense_sr_metric, direct_forces, per_step_draw
 
 
 def make_batch(n_rows, n_params, seed=0):
@@ -58,6 +58,10 @@ def test_config_validation():
         VmcConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         VmcConfig(proposal_step=0.0)
+    for field in ("lambda_reg", "learning_rate", "proposal_step"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=field):
+                VmcConfig(**{field: bad})
     for field, bad in (("n_warm", 1.5), ("n_iter", 2.5), ("n_samp", 10.0)):
         with pytest.raises(ValueError, match=field):
             VmcConfig(**{"n_samp": 10, field: bad})
@@ -83,7 +87,7 @@ def test_mh_step_stays_on_torus():
     p = init_random(3, sigma=0.5, seed=1)
     s = chain_init(p, seed=2)
     for _ in range(200):
-        s = mh_step(p, s, step=1.5)
+        mh_step(p, s, *per_step_draw(s.rng, 3, 1.5))
         assert np.all(s.theta >= 0.0) and np.all(s.theta < 2.0 * np.pi)
         assert s.log_psi == pytest.approx(log_psi(p, s.theta), rel=1e-12)
 
@@ -93,8 +97,25 @@ def test_mh_step_uniform_density_always_accepts():
     p = RbmParams(a=np.zeros((2, 2)), b=np.zeros((2, 2)), c=np.zeros((2, 2)))
     s = chain_init(p, seed=3)
     for _ in range(50):
-        s = mh_step(p, s, step=0.7)
-        assert s.accepted
+        assert mh_step(p, s, *per_step_draw(s.rng, 2, 0.7))
+
+
+def test_mh_step_is_deterministic_given_its_draws():
+    # the step draws nothing; a rejection keeps the walker and its cache, an
+    # acceptance rebinds theta and leaves the former position's array alone
+    p = init_random(3, sigma=0.5, seed=1)
+    s = chain_init(p, seed=2)
+    state = s.rng.bit_generator.state
+    theta, lp = s.theta, s.log_psi
+    delta = np.array([0.4, -0.2, 6.0])
+    assert not mh_step(p, s, delta, np.inf)
+    assert s.theta is theta and s.log_psi == lp
+    kept = theta.copy()
+    assert mh_step(p, s, delta, -np.inf)
+    np.testing.assert_array_equal(theta, kept)
+    np.testing.assert_array_equal(s.theta, np.mod(kept + delta, 2.0 * np.pi))
+    assert s.log_psi == log_psi(p, s.theta)
+    assert s.rng.bit_generator.state == state
 
 
 def test_sample_batch_shapes_and_warm_discard(k3):
@@ -108,7 +129,7 @@ def test_sample_batch_shapes_and_warm_discard(k3):
     assert batch.o_matrix.shape == (n_rows, p.n_params)
     assert batch.e_loc.shape == (n_rows,)
     assert 0.0 <= batch.accept_rate <= 1.0
-    assert not np.array_equal(s.theta, s2.theta) or s2.log_psi == s.log_psi
+    assert s2 is s and s.log_psi == log_psi(p, s.theta)
     np.testing.assert_array_equal(batch.samples[-1], s2.theta)
     assert_rows_evaluated(k3, p, batch)
     assert_kept_steps(p, chain_init(p, seed=5), cfg, batch)
@@ -119,10 +140,10 @@ def test_sample_batch_shapes_and_warm_discard(k3):
     cfg = VmcConfig(n_samp=6, n_warm=2, n_iter=1, proposal_step=3.0)
     for seed in range(100):
         s = chain_init(p, seed=seed)
-        for _ in range(cfg.n_warm):
-            s = mh_step(p, s, cfg.proposal_step)
-        warm_end = s.theta
-        if not mh_step(p, s, cfg.proposal_step).accepted:
+        for _ in range(cfg.n_warm + 1):
+            warm_end = s.theta
+            accepted = mh_step(p, s, *per_step_draw(s.rng, 3, cfg.proposal_step))
+        if not accepted:
             break
     else:
         pytest.fail("no seed rejects the first kept step")
@@ -132,16 +153,27 @@ def test_sample_batch_shapes_and_warm_discard(k3):
     assert_rows_evaluated(k3, p, batch)
     assert_kept_steps(p, chain_init(p, seed=seed), cfg, batch)
 
+    # consecutive segments continue one stream: each segment's draw takes
+    # up exactly the numbers its steps would have drawn one at a time
+    s, replay = chain_init(p, seed=6), chain_init(p, seed=6)
+    for _ in range(3):
+        batch, s = sample_batch(k3, p, s, cfg)
+        replay = assert_kept_steps(p, replay, cfg, batch)
+        np.testing.assert_array_equal(s.theta, replay.theta)
+        assert s.log_psi == replay.log_psi
+
 
 def assert_kept_steps(p, s, cfg, batch):
-    # the rows repeated by their counts are the kept positions, stepped by hand
+    # the rows repeated by their counts are the kept positions, stepped by
+    # hand with the randomness drawn one step at a time
     kept = []
     for k in range(cfg.n_samp):
-        s = mh_step(p, s, cfg.proposal_step)
+        mh_step(p, s, *per_step_draw(s.rng, p.n, cfg.proposal_step))
         if k >= cfg.n_warm:
             kept.append(s.theta)
     assert batch.counts.sum() == cfg.n_samp - cfg.n_warm
     np.testing.assert_array_equal(np.repeat(batch.samples, batch.counts, axis=0), kept)
+    return s
 
 
 def assert_rows_evaluated(g, p, batch):
