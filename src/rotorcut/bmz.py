@@ -3,12 +3,13 @@ plus the half-circle rounding that converts angles back into a cut.
 
 The minimizer is a standard trust-region Newton method with the subproblem
 solved by Steihaug-Toint truncated conjugate gradients on the sparse CSR
-Hessian. Rounding (Procedure-Cut of Burer, Monteiro & Zhang, SIAM J.
-Optim. 12(2), 2002) tries every vertex angle as a split line, puts a
-vertex on the line on the +1 side, and keeps the best resulting cut (the
-lowest vertex index among equals); a sweep over the sorted angles scores
-all n candidates in O(n log n + m) time and O(n + m) memory. Both entry
-points reject non-finite angles.
+Hessian; one CG path serves a point until a step from it is accepted, as
+rejected steps only shrink the radius. Rounding (Procedure-Cut of Burer,
+Monteiro & Zhang, SIAM J. Optim. 12(2), 2002) tries every vertex angle as
+a split line, puts a vertex on the line on the +1 side, and keeps the best
+resulting cut (the lowest vertex index among equals); a sweep over the
+sorted angles scores all n candidates in O(n log n + m) time and
+O(n + m) memory. Both entry points reject non-finite angles.
 """
 
 from __future__ import annotations
@@ -62,39 +63,64 @@ def _boundary_tau(z: np.ndarray, d: np.ndarray, radius: float) -> float:
     return (-b + np.sqrt(disc)) / (2.0 * a)
 
 
-def _steihaug_cg(grad: np.ndarray, hess, radius: float) -> np.ndarray:
-    """Approximately minimize g.p + p.H.p/2 subject to ||p|| <= radius.
+def _steihaug_cg(
+    grad: np.ndarray, hess, radius: float
+) -> tuple[list, Optional[np.ndarray]]:
+    """Krylov path of g.p + p.H.p/2 within ||p|| <= radius, for _path_step.
 
     Truncated CG: exits to the boundary on negative curvature or when the
     iterate leaves the region, otherwise runs until the residual passes the
-    standard forcing tolerance min(0.5, sqrt(||g||))*||g||.
+    standard forcing tolerance min(0.5, sqrt(||g||))*||g||. Returns
+    (steps, end): one (z_k, d_k, ||z_{k+1}||) per step, with inf in place
+    of the norm where the curvature d_k.H.d_k was <= 0, and the interior
+    end point (the last iterate when the 2n cap stops the walk), or None
+    after a boundary exit. The iterates do not depend on the radius, which
+    only decides where the walk stops, so the path serves every radius up
+    to the one it was built at.
     """
     n = grad.size
     z = np.zeros(n)
     r = grad.copy()
     d = -r
+    steps = []
     g_norm = float(np.linalg.norm(grad))
     if g_norm == 0.0:
-        return z
+        return steps, z
     tol = min(0.5, np.sqrt(g_norm)) * g_norm
     rr = g_norm * g_norm
     for _ in range(2 * n):
         hd = hess @ d
         curv = float(d @ hd)
         if curv <= 0.0:
-            return z + _boundary_tau(z, d, radius) * d
+            steps.append((z, d, np.inf))
+            return steps, None
         alpha = rr / curv
         z_next = z + alpha * d
-        if np.linalg.norm(z_next) >= radius:
-            return z + _boundary_tau(z, d, radius) * d
+        reach = np.linalg.norm(z_next)
+        steps.append((z, d, reach))
+        if reach >= radius:
+            return steps, None
         r = r + alpha * hd
         rr_next = float(r @ r)
         if np.sqrt(rr_next) < tol:
-            return z_next
+            return steps, z_next
         d = -r + (rr_next / rr) * d
         z = z_next
         rr = rr_next
-    return z
+    return steps, z
+
+
+def _path_step(path, radius: float) -> np.ndarray:
+    """The truncated-CG step at this radius, read off a _steihaug_cg path
+    built at a radius no smaller: the first step that met negative
+    curvature or left the region ends on the boundary, else the walk ended
+    inside it. The same float operations on the same arrays as CG run
+    afresh at this radius, so the step is bit-identical to it."""
+    steps, end = path
+    for z, d, reach in steps:
+        if reach >= radius:
+            return z + _boundary_tau(z, d, radius) * d
+    return end
 
 
 def bmz_minimize(
@@ -115,7 +141,11 @@ def bmz_minimize(
     (c, s, Ac, As) is evaluated once per trial point; f, grad and the
     Hessian change only at an accepted point (Nocedal & Wright, 4.1), where
     they come from that point's model, and the Hessian's data is refilled
-    in place on one copy of g.adjacency.
+    in place on one copy of g.adjacency. One Steihaug-CG path serves a
+    point until a step from it is accepted: a rejected step only shrinks
+    the radius, and the next step is read off the kept path, which is
+    bit-identical to running CG afresh (Conn, Gould & Toint, Trust-Region
+    Methods, SIAM 2000).
 
     callback, if given, receives (theta, energy) at the start and after
     every accepted step. Raises ValueError if theta0 has the wrong length
@@ -133,11 +163,14 @@ def bmz_minimize(
         callback(theta.copy(), f)
 
     iters = 0
+    path = None
     for _ in range(_MAX_ITERS):
         if float(np.max(np.abs(grad))) <= _GRAD_TOL:
             break
         iters += 1
-        p = _steihaug_cg(grad, hess, radius)
+        if path is None:
+            path = _steihaug_cg(grad, hess, radius)
+        p = _path_step(path, radius)
         pred = -(float(grad @ p) + 0.5 * float(p @ (hess @ p)))
         theta_trial = theta + p
         model = _cartesian(g, theta_trial)
@@ -150,7 +183,12 @@ def bmz_minimize(
         elif ratio > _ACCEPT_RATIO_HI and np.linalg.norm(p) >= 0.99 * radius:
             radius = min(2.0 * radius, _RADIUS_MAX)
 
+        # a rejected step leaves the point, grad, hess and the Krylov path
+        # as they are; actual <= 0 makes its ratio <= 0 or -inf (NaN on a
+        # NaN energy, which keeps the radius), so the radius never grows
+        # and the kept path is exact for the next step
         if actual > 0.0:
+            path = None
             theta = theta_trial
             f = f_trial
             grad = _gradient(*model)

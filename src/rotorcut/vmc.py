@@ -78,6 +78,9 @@ class VmcConfig:
             raise ValueError("learning_rate must be positive")
         if self.proposal_step <= 0:
             raise ValueError("proposal_step must be positive")
+        # the sampler draws offsets on [-step, step) as u * (2*step) - step
+        if not math.isfinite(2.0 * self.proposal_step):
+            raise ValueError(f"2 * proposal_step must be finite, got {self.proposal_step!r}")
 
 
 @dataclass(slots=True)

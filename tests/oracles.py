@@ -12,10 +12,12 @@ cross-check the Cartesian objective, the sorted sweep and the batched
 generator that replaced them; they share only the input normalisation
 (wrap_angles) and cut_value with the package. The trust-region loop that
 assembles the Hessian on every iteration is the former bmz_minimize; it
-shares the objective and the Steihaug-CG step with the package, so that
-it pins the loop alone. The former log psi, which allocated every
-intermediate, and the former Metropolis draw, taken one step at a time,
-pin the in-place log psi and the segment draw of the sampler bit for bit.
+shares the objective with the package and runs its own one-shot
+Steihaug-CG, the former one, on every iteration, so it pins both the loop
+and the package's reuse of one Krylov path after a rejected step. The
+former log psi, which allocated every intermediate, and the former
+Metropolis draw, taken one step at a time, pin the in-place log psi and
+the segment draw of the sampler bit for bit.
 """
 
 import itertools
@@ -25,7 +27,7 @@ import numpy as np
 from scipy import sparse, special
 
 from rotorcut import cost, cost_gradient, cost_hessian, cut_value, wrap_angles
-from rotorcut.bmz import _check_angles, _steihaug_cg
+from rotorcut.bmz import _check_angles
 
 mpmath.mp.dps = 50
 
@@ -251,10 +253,50 @@ def loop_generated_edges(n, m_edges, weight_mode, seed):
     return tuple((i, j, w) for (i, j), w in zip(sorted(chosen), weights))
 
 
+def _former_boundary_tau(z, d, radius):
+    a = float(d @ d)
+    b = 2.0 * float(z @ d)
+    c = float(z @ z) - radius * radius
+    disc = max(b * b - 4.0 * a * c, 0.0)
+    return (-b + np.sqrt(disc)) / (2.0 * a)
+
+
+def former_steihaug_cg(grad, hess, radius):
+    """The package's former truncated CG: one run at one radius that
+    returns the step, with the exits written inline."""
+    n = grad.size
+    z = np.zeros(n)
+    r = grad.copy()
+    d = -r
+    g_norm = float(np.linalg.norm(grad))
+    if g_norm == 0.0:
+        return z
+    tol = min(0.5, np.sqrt(g_norm)) * g_norm
+    rr = g_norm * g_norm
+    for _ in range(2 * n):
+        hd = hess @ d
+        curv = float(d @ hd)
+        if curv <= 0.0:
+            return z + _former_boundary_tau(z, d, radius) * d
+        alpha = rr / curv
+        z_next = z + alpha * d
+        if np.linalg.norm(z_next) >= radius:
+            return z + _former_boundary_tau(z, d, radius) * d
+        r = r + alpha * hd
+        rr_next = float(r @ r)
+        if np.sqrt(rr_next) < tol:
+            return z_next
+        d = -r + (rr_next / rr) * d
+        z = z_next
+        rr = rr_next
+    return z
+
+
 def hessian_every_iteration_bmz(g, theta0):
     """bmz_minimize as it was with its default settings: the Hessian is
     assembled at the top of every iteration, also after a rejected step,
-    where the point has not moved. Returns (theta, energy, iters)."""
+    where the point has not moved, and CG runs afresh at every radius.
+    Returns (theta, energy, iters)."""
     theta = _check_angles(g, theta0)
     f = cost(g, theta)
     grad = cost_gradient(g, theta)
@@ -265,7 +307,7 @@ def hessian_every_iteration_bmz(g, theta0):
             break
         iters += 1
         hess = cost_hessian(g, theta)
-        p = _steihaug_cg(grad, hess, radius)
+        p = former_steihaug_cg(grad, hess, radius)
         pred = -(float(grad @ p) + 0.5 * float(p @ (hess @ p)))
         theta_trial = theta + p
         f_trial = cost(g, theta_trial)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,11 @@ from rotorcut import (
     procedure_cut,
     random_start,
 )
-from oracles import dense_procedure_cut, hessian_every_iteration_bmz
+from oracles import (
+    dense_procedure_cut,
+    former_steihaug_cg,
+    hessian_every_iteration_bmz,
+)
 
 # rotor minima with closed forms: complete graphs give (|sum of unit
 # vectors|^2 - n)/2 >= -n/2 for odd frustration, cycles of odd length n
@@ -156,6 +161,91 @@ def test_one_hessian_per_accepted_point(monkeypatch, k3):
         assert fills == len(points)
         rejected += iters - (len(points) - 1)
     assert rejected > 0  # the cases include steps the old loop re-assembled for
+
+
+def test_one_krylov_path_per_point(monkeypatch, k3):
+    # log: m = a trial model, p = an accepted point (the start first),
+    # c = a CG run; every point an iteration starts from runs CG once,
+    # before its first trial, and rejected steps reuse that path
+    log = []
+    steihaug_cg = rotorcut.bmz._steihaug_cg
+    cartesian = rotorcut.bmz._cartesian
+
+    def counted_cg(*args):
+        log.append("c")
+        return steihaug_cg(*args)
+
+    def counted_model(*args):
+        log.append("m")
+        return cartesian(*args)
+
+    monkeypatch.setattr(rotorcut.bmz, "_steihaug_cg", counted_cg)
+    monkeypatch.setattr(rotorcut.bmz, "_cartesian", counted_model)
+    rejected = 0
+    for g, theta0 in bmz_cases(k3):
+        log.clear()
+        _, _, iters = bmz_minimize(g, theta0, callback=lambda t, e: log.append("p"))
+        first, *per_point = "".join(log).split("p")
+        assert first == "m"
+        assert all(re.fullmatch("(cm+)?", s) for s in per_point)
+        rejected += iters - (len(per_point) - 1)
+    assert rejected > 0
+
+
+def exit_kind(path, radius):
+    """How CG ends at this radius: curvature, boundary or interior."""
+    steps, _ = path
+    for _, _, reach in steps:
+        if reach >= radius:
+            return "curvature" if reach == np.inf else "boundary"
+    return "interior"
+
+
+def test_replayed_step_equals_fresh_cg(k3):
+    # points from real solves, plus one near the maximum theta = 0 of K3,
+    # where the Hessian is negative definite on the gradient
+    cases = [(k3, np.array([0.0, 1e-3, -2e-3]))]
+    big = generate_graph(800, 19176, "unit", 0)
+    for g, theta0 in bmz_cases(k3) + [(big, random_start(big.n, seed=0))]:
+        points = []
+        bmz_minimize(g, theta0, callback=lambda t, e: points.append(t))
+        cases += [(g, t) for t in points[:: 1 + len(points) // 12]]
+    seen = set()
+    for g, theta in cases:
+        grad, hess = cost_gradient(g, theta), cost_hessian(g, theta)
+        for built in (rotorcut.bmz._RADIUS_INIT, rotorcut.bmz._RADIUS_MAX):
+            path = rotorcut.bmz._steihaug_cg(grad, hess, built)
+            # also at each iterate's own norm, where the exit test is a tie
+            reaches = [r for _, _, r in path[0] if r < built]
+            for radius in [built / 4.0**j for j in range(21)] + reaches:
+                step = rotorcut.bmz._path_step(path, radius)
+                np.testing.assert_array_equal(
+                    step, former_steihaug_cg(grad, hess, radius)
+                )
+                seen.add(exit_kind(path, radius))
+    assert seen == {"curvature", "boundary", "interior"}
+
+
+def test_replayed_step_at_the_iteration_cap():
+    # a symmetric positive definite Hessian meets the forcing tolerance in
+    # at most n CG steps in exact arithmetic, so the 2n cap is a guard;
+    # a rotation-like operator has d.H.d = |d|^2 > 0 on every direction
+    # yet keeps the residual from shrinking, and a wide region lets the
+    # walk reach the cap
+    grad = np.array([1.0, 0.0])
+    hess = np.array([[1.0, -10.0], [10.0, 1.0]])
+    built = 8.0
+    path = rotorcut.bmz._steihaug_cg(grad, hess, built)
+    steps, end = path
+    assert len(steps) == 2 * grad.size and end is not None
+    assert all(reach < built for _, _, reach in steps)
+    # the residual at the end point never met the tolerance 0.5*||g||
+    assert np.linalg.norm(grad + hess @ end) > 0.5
+    for j in range(21):
+        radius = built / 4.0**j
+        np.testing.assert_array_equal(
+            rotorcut.bmz._path_step(path, radius), former_steihaug_cg(grad, hess, radius)
+        )
 
 
 def test_one_model_per_trial_point(monkeypatch, k3):

@@ -130,6 +130,9 @@ def test_invalid_config_is_reported(tmp_path, capsys):
             code = main(["run", str(path), flag, bad])
             assert code == 2
             assert field in capsys.readouterr().err
+    code = main(["run", str(path), "--step", "1e308"])
+    assert code == 2
+    assert "proposal_step" in capsys.readouterr().err
     code = main(["run", str(path), "--seeds", "0,0"])
     assert code == 2
     assert "distinct" in capsys.readouterr().err

@@ -62,6 +62,11 @@ def test_config_validation():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=field):
                 VmcConfig(**{field: bad})
+    # finite, but the sampler's offset width 2*step overflows
+    for bad in (1e308, float(np.finfo(float).max)):
+        with pytest.raises(ValueError, match="proposal_step"):
+            VmcConfig(proposal_step=bad)
+    assert VmcConfig(proposal_step=float(np.finfo(float).max) / 2).proposal_step > 0
     for field, bad in (("n_warm", 1.5), ("n_iter", 2.5), ("n_samp", 10.0)):
         with pytest.raises(ValueError, match=field):
             VmcConfig(**{"n_samp": 10, field: bad})
