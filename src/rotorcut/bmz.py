@@ -140,12 +140,13 @@ def bmz_minimize(
     and the result never exceeds cost(g, theta0). The rotor model
     (c, s, Ac, As) is evaluated once per trial point; f, grad and the
     Hessian change only at an accepted point (Nocedal & Wright, 4.1), where
-    they come from that point's model, and the Hessian's data is refilled
-    in place on one copy of g.adjacency. One Steihaug-CG path serves a
-    point until a step from it is accepted: a rejected step only shrinks
-    the radius, and the next step is read off the kept path, which is
-    bit-identical to running CG afresh (Conn, Gould & Toint, Trust-Region
-    Methods, SIAM 2000).
+    they come from that point's model. The Hessian is filled when a CG
+    path is built, so a point the gradient test stops at gets none; its
+    data is refilled in place on one copy of g.adjacency. One Steihaug-CG
+    path serves a point until a step from it is accepted: a rejected step
+    only shrinks the radius, and the next step is read off the kept path,
+    which is bit-identical to running CG afresh (Conn, Gould & Toint,
+    Trust-Region Methods, SIAM 2000).
 
     callback, if given, receives (theta, energy) at the start and after
     every accepted step. Raises ValueError if theta0 has the wrong length
@@ -157,7 +158,6 @@ def bmz_minimize(
     f = float(_energy(*model))
     grad = _gradient(*model)
     hess = g.adjacency.copy()
-    _fill_hessian(g, *model, hess.data)
     radius = _RADIUS_INIT
     if callback is not None:
         callback(theta.copy(), f)
@@ -169,6 +169,8 @@ def bmz_minimize(
             break
         iters += 1
         if path is None:
+            # a new point: the model is still this point's
+            _fill_hessian(g, *model, hess.data)
             path = _steihaug_cg(grad, hess, radius)
         p = _path_step(path, radius)
         pred = -(float(grad @ p) + 0.5 * float(p @ (hess @ p)))
@@ -192,7 +194,6 @@ def bmz_minimize(
             theta = theta_trial
             f = f_trial
             grad = _gradient(*model)
-            _fill_hessian(g, *model, hess.data)
             if callback is not None:
                 callback(wrap_angles(theta), f)
 

@@ -93,6 +93,10 @@ class ExperimentSpec:
             raise ValueError(f"seeds must be non-negative, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        try:
+            object.__setattr__(self, "workers", operator.index(self.workers))
+        except TypeError:
+            raise ValueError(f"workers must be an integer, got {self.workers!r}") from None
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -238,14 +242,18 @@ def _sweep_point(axis: str, value) -> tuple:
             f"sweep axis {axis!r} takes {len(fields)} value(s) per point "
             f"({':'.join(fields)}), got {len(entries)}: {value!r}"
         )
+    point = []
     for name, entry in zip(fields, entries):
-        if type(getattr(VmcConfig, name)) is int and not float(entry).is_integer():
-            raise ValueError(
-                f"sweep axis {axis!r}: {name} must be an integer, got {entry!r}"
-            )
-    return tuple(
-        type(getattr(VmcConfig, name))(entry) for name, entry in zip(fields, entries)
-    )
+        integral = type(getattr(VmcConfig, name)) is int
+        try:
+            value = float(entry)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or (integral and not value.is_integer()):
+            kind = "an integer" if integral else "a number"
+            raise ValueError(f"sweep axis {axis!r}: {name} must be {kind}, got {entry!r}")
+        point.append(int(value) if integral else value)
+    return tuple(point)
 
 
 def write_stats_csv(rows: list[SeedResult], path) -> None:

@@ -10,6 +10,7 @@ All randomness in this package goes through ``numpy.random.default_rng``
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -52,7 +53,11 @@ class Graph:
     )
 
     def __post_init__(self):
-        n = self.n
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise GraphFormatError(f"vertex count must be an integer, got {self.n!r}") from None
+        object.__setattr__(self, "n", n)
         if n < 2:
             raise GraphFormatError(f"vertex count must be >= 2, got {n}")
         given = tuple(self.edges)

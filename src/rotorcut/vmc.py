@@ -142,15 +142,6 @@ class SrBatch:
         return 2.0 * self.counts * (self.e_loc - self.e_mean) / self.n_kept
 
 
-@dataclass(frozen=True)
-class SrDiagnostics:
-    e_mean: float
-    accept_rate: float
-    residual: float
-    best_energy: float
-    best_theta: np.ndarray
-
-
 @dataclass
 class RunTrace:
     """Full record of a VMC run; arrays are indexed by iteration."""
@@ -197,9 +188,7 @@ def mh_step(p: RbmParams, s: ChainState, delta: np.ndarray, log_u: float) -> boo
     return False
 
 
-def sample_batch(
-    g: Graph, p: RbmParams, s: ChainState, cfg: VmcConfig
-) -> tuple[SrBatch, ChainState]:
+def sample_batch(g: Graph, p: RbmParams, s: ChainState, cfg: VmcConfig) -> SrBatch:
     """Advance the chain n_samp steps, keeping the last n_samp - n_warm.
 
     The segment's randomness is drawn at once: one row of n + 1 uniforms
@@ -214,7 +203,7 @@ def sample_batch(
     count of the current row instead of a row of its own: the batch holds
     the first kept position and every later kept position the walker moved
     to, evaluated in one log-derivative and one cost call. The chain is
-    advanced in place and returned; it continues from where the segment
+    advanced in place, so the next segment continues from where this one
     ended.
     """
     n, step = s.theta.size, cfg.proposal_step
@@ -235,30 +224,28 @@ def sample_batch(
         else:
             counts[-1] += 1
     distinct = np.array(positions)
-    batch = SrBatch(
+    return SrBatch(
         samples=distinct,
         o_matrix=log_derivatives(p, distinct),
         e_loc=cost(g, distinct),
         counts=np.array(counts),
         accept_rate=accepts / cfg.n_samp,
     )
-    return batch, s
 
 
-def estimate_forces(batch: SrBatch) -> tuple[float, np.ndarray, np.ndarray]:
-    """Monte Carlo energy and gradient estimates from one batch.
+def estimate_forces(batch: SrBatch) -> np.ndarray:
+    """Monte Carlo gradient estimate from one batch.
 
-    Returns (e_mean, g, o_mean) with g_k = 2*(<e O_k> - <e><O_k>), the
-    sampled gradient of E[cost] over the Born density with respect to the
-    packed parameters, and <O_k> the column mean that centres the metric.
+    Returns g with g_k = 2*(<e O_k> - <e><O_k>), the sampled gradient of
+    E[cost] over the Born density with respect to the packed parameters.
     Averages run over the N kept steps, each distinct row weighted by its
-    count. g is formed from the centred energies and log-derivatives, so a
-    constant energy gives exactly g = 0.
+    count; the energy and the column mean <O_k> are batch.e_mean and
+    batch.o_mean. g is formed from the centred energies and
+    log-derivatives, so a constant energy gives exactly g = 0.
     """
     if batch.n_kept < 2:
         raise ValueError("batch must contain at least 2 samples")
-    grad = batch.energy_weights @ batch.centered
-    return batch.e_mean, grad, batch.o_mean
+    return batch.energy_weights @ batch.centered
 
 
 def apply_metric(batch: SrBatch, x, lam: float) -> np.ndarray:
@@ -352,25 +339,19 @@ def sr_solve(batch: SrBatch, force, lam: float) -> tuple[np.ndarray, float]:
 
 def sr_iteration(
     g: Graph, p: RbmParams, chain: ChainState, cfg: VmcConfig
-) -> tuple[RbmParams, ChainState, SrDiagnostics]:
+) -> tuple[RbmParams, SrBatch, float]:
     """One full stochastic-reconfiguration cycle.
 
     Sample, estimate forces, solve (S + lambda_reg I) d = grad, and step
-    the packed parameters by -learning_rate * d.
+    the packed parameters by -learning_rate * d. Returns (new_params,
+    batch, residual): the batch is the iteration's record (energies,
+    acceptance, sampled positions) and residual that of the SR solve. The
+    chain advances in place.
     """
-    batch, chain = sample_batch(g, p, chain, cfg)
-    e_mean, force, _ = estimate_forces(batch)
-    delta, residual = sr_solve(batch, force, cfg.lambda_reg)
+    batch = sample_batch(g, p, chain, cfg)
+    delta, residual = sr_solve(batch, estimate_forces(batch), cfg.lambda_reg)
     updated = RbmParams.unpack(p.pack() - cfg.learning_rate * delta, p.n, p.m)
-    k = int(np.argmin(batch.e_loc))
-    diag = SrDiagnostics(
-        e_mean=e_mean,
-        accept_rate=batch.accept_rate,
-        residual=residual,
-        best_energy=float(batch.e_loc[k]),
-        best_theta=batch.samples[k].copy(),
-    )
-    return updated, chain, diag
+    return updated, batch, residual
 
 
 def run_vmc(g: Graph, cfg: VmcConfig, init: RbmParams) -> RunTrace:
@@ -395,14 +376,15 @@ def run_vmc(g: Graph, cfg: VmcConfig, init: RbmParams) -> RunTrace:
     best_energy = np.inf
     best_theta = chain.theta.copy()
     for it in range(cfg.n_iter):
-        p, chain, diag = sr_iteration(g, p, chain, cfg)
-        e_mean[it] = diag.e_mean
-        accept_rate[it] = diag.accept_rate
-        residual[it] = diag.residual
-        min_e_loc[it] = diag.best_energy
-        if diag.best_energy < best_energy:
-            best_energy = diag.best_energy
-            best_theta = diag.best_theta
+        p, batch, residual[it] = sr_iteration(g, p, chain, cfg)
+        e_mean[it] = batch.e_mean
+        accept_rate[it] = batch.accept_rate
+        k = int(np.argmin(batch.e_loc))
+        min_e_loc[it] = batch.e_loc[k]
+        if batch.e_loc[k] < best_energy:
+            best_energy = float(batch.e_loc[k])
+            best_theta = batch.samples[k].copy()
+        del batch  # so its (K, P) matrices are freed before the next segment
 
     best_cut_value, best_cut = procedure_cut(g, best_theta)
     return RunTrace(

@@ -191,7 +191,7 @@ def test_sr_machinery():
             err = np.max(np.abs(apply_metric(batch, x, lam) - dense @ x))
             worst_metric = max(worst_metric, err)
             assert err <= 1e-12
-        _, force, _ = estimate_forces(batch)
+        force = estimate_forces(batch)
         err = np.max(np.abs(sr_solve(batch, force, lam)[0] - np.linalg.solve(dense, force)))
         worst_exact = max(worst_exact, err)
         assert err <= 1e-9
@@ -224,7 +224,7 @@ def test_sr_machinery():
             samples=np.zeros((18, 3)), o_matrix=o,
             e_loc=rng.normal(0.0, 1.0, 18), counts=np.ones(18, dtype=int), accept_rate=0.5,
         )
-        _, force, _ = estimate_forces(batch)
+        force = estimate_forces(batch)
         direct = np.linalg.solve(dense_sr_metric(o, 0.1), force)
         err = np.max(np.abs(sr_solve(batch, force, 0.1)[0] - direct))
         worst_exact = max(worst_exact, err)

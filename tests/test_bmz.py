@@ -144,50 +144,67 @@ def bmz_cases(k3):
 
 
 def test_one_hessian_per_accepted_point(monkeypatch, k3):
-    fills = 0
+    # at most one fill per accepted point, and only where a CG path is
+    # built: a point the gradient test stops at (the stationary K3 start,
+    # the last point of a converged solve) gets none
+    fills = cg_runs = 0
     fill_hessian = rotorcut.bmz._fill_hessian
+    steihaug_cg = rotorcut.bmz._steihaug_cg
 
-    def counted(*args):
+    def counted_fill(*args):
         nonlocal fills
         fills += 1
         return fill_hessian(*args)
 
-    monkeypatch.setattr(rotorcut.bmz, "_fill_hessian", counted)
+    def counted_cg(*args):
+        nonlocal cg_runs
+        cg_runs += 1
+        return steihaug_cg(*args)
+
+    monkeypatch.setattr(rotorcut.bmz, "_fill_hessian", counted_fill)
+    monkeypatch.setattr(rotorcut.bmz, "_steihaug_cg", counted_cg)
     rejected = 0
     for g, theta0 in bmz_cases(k3):
-        fills = 0
+        fills = cg_runs = 0
         points = []
         _, _, iters = bmz_minimize(g, theta0, callback=lambda t, e: points.append(e))
-        assert fills == len(points)
+        assert fills == cg_runs
+        assert fills <= len(points)
+        if iters == 0:
+            assert fills == 0
+        else:
+            assert fills >= len(points) - 1
         rejected += iters - (len(points) - 1)
     assert rejected > 0  # the cases include steps the old loop re-assembled for
 
 
 def test_one_krylov_path_per_point(monkeypatch, k3):
     # log: m = a trial model, p = an accepted point (the start first),
-    # c = a CG run; every point an iteration starts from runs CG once,
-    # before its first trial, and rejected steps reuse that path
+    # h = a Hessian fill, c = a CG run; every point an iteration starts
+    # from fills the Hessian and runs CG once, before its first trial, and
+    # rejected steps reuse both; a point the gradient test stops at, such
+    # as the stationary start, gets neither
     log = []
+    fill_hessian = rotorcut.bmz._fill_hessian
     steihaug_cg = rotorcut.bmz._steihaug_cg
     cartesian = rotorcut.bmz._cartesian
 
-    def counted_cg(*args):
-        log.append("c")
-        return steihaug_cg(*args)
+    def counted(tag, fn):
+        def wrapper(*args):
+            log.append(tag)
+            return fn(*args)
+        return wrapper
 
-    def counted_model(*args):
-        log.append("m")
-        return cartesian(*args)
-
-    monkeypatch.setattr(rotorcut.bmz, "_steihaug_cg", counted_cg)
-    monkeypatch.setattr(rotorcut.bmz, "_cartesian", counted_model)
+    monkeypatch.setattr(rotorcut.bmz, "_fill_hessian", counted("h", fill_hessian))
+    monkeypatch.setattr(rotorcut.bmz, "_steihaug_cg", counted("c", steihaug_cg))
+    monkeypatch.setattr(rotorcut.bmz, "_cartesian", counted("m", cartesian))
     rejected = 0
     for g, theta0 in bmz_cases(k3):
         log.clear()
         _, _, iters = bmz_minimize(g, theta0, callback=lambda t, e: log.append("p"))
         first, *per_point = "".join(log).split("p")
         assert first == "m"
-        assert all(re.fullmatch("(cm+)?", s) for s in per_point)
+        assert all(re.fullmatch("(hcm+)?", s) for s in per_point)
         rejected += iters - (len(per_point) - 1)
     assert rejected > 0
 

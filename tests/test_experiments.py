@@ -36,6 +36,10 @@ def test_spec_validation(k3):
     assert seeds == (0, 1) and all(type(s) is int for s in seeds)
     with pytest.raises(ValueError):
         ExperimentSpec(graph=k3, workers=0)
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            ExperimentSpec(graph=k3, workers=bad)
+    assert type(ExperimentSpec(graph=k3, workers=np.int64(2)).workers) is int
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha"):
             ExperimentSpec(graph=k3, alpha=bad)
@@ -182,6 +186,14 @@ def test_sweep_guards(k3):
         run_sweep(nqs, "n_iter", [5.7])
     with pytest.raises(ValueError, match="n_warm must be an integer"):
         run_sweep(nqs, "samp_warm", [(10, 0.5)])
+    with pytest.raises(ValueError, match="'n_iter': n_iter must be an integer, got 'ten'"):
+        run_sweep(nqs, "n_iter", ["ten"])
+    with pytest.raises(ValueError, match="'lambda_reg': lambda_reg must be a number"):
+        run_sweep(nqs, "lambda_reg", ["tiny"])
+    # integral spellings of an integer, as the CLI passes them, are accepted
+    table = run_sweep(nqs, "samp_warm", [("1e1", "2.0"), (8.0, "0")])
+    assert [point for point, _ in table] == [(10, 2), (8, 0)]
+    assert all(type(v) is int for point, _ in table for v in point)
 
 
 def test_seed_streams_are_separated(k3):

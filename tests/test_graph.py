@@ -180,6 +180,10 @@ def test_graph_validation():
         Graph(2, [(0, 2, 1.0)])
     with pytest.raises(ValueError):
         Graph(1, [])
+    # a non-integral vertex count fails here, not later in scipy
+    with pytest.raises(GraphFormatError, match="vertex count must be an integer, got 3.5"):
+        Graph(3.5, [(0, 1, 1.0)])
+    assert type(Graph(np.int64(3), []).n) is int
     # 1.7 would truncate to 1 and duplicate the (0, 1) edge
     with pytest.raises(GraphFormatError, match="integers"):
         Graph(3, [(0, 1.7, 1.0), (0, 1, 2.0)])

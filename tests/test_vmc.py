@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rotorcut import (
+    Graph,
     RbmParams,
     VmcConfig,
     cost,
@@ -127,15 +128,15 @@ def test_sample_batch_shapes_and_warm_discard(k3):
     p = init_random(3, seed=4)
     s = chain_init(p, seed=5)
     cfg = VmcConfig(n_samp=7, n_warm=3, n_iter=1)
-    batch, s2 = sample_batch(k3, p, s, cfg)
+    batch = sample_batch(k3, p, s, cfg)
     n_rows = batch.counts.size
     assert batch.counts.min() >= 1
     assert batch.samples.shape == (n_rows, 3)
     assert batch.o_matrix.shape == (n_rows, p.n_params)
     assert batch.e_loc.shape == (n_rows,)
     assert 0.0 <= batch.accept_rate <= 1.0
-    assert s2 is s and s.log_psi == log_psi(p, s.theta)
-    np.testing.assert_array_equal(batch.samples[-1], s2.theta)
+    assert s.log_psi == log_psi(p, s.theta)
+    np.testing.assert_array_equal(batch.samples[-1], s.theta)
     assert_rows_evaluated(k3, p, batch)
     assert_kept_steps(p, chain_init(p, seed=5), cfg, batch)
 
@@ -152,7 +153,7 @@ def test_sample_batch_shapes_and_warm_discard(k3):
             break
     else:
         pytest.fail("no seed rejects the first kept step")
-    batch, _ = sample_batch(k3, p, chain_init(p, seed=seed), cfg)
+    batch = sample_batch(k3, p, chain_init(p, seed=seed), cfg)
     np.testing.assert_array_equal(batch.samples[0], warm_end)
     assert batch.counts[0] >= 2
     assert_rows_evaluated(k3, p, batch)
@@ -162,7 +163,7 @@ def test_sample_batch_shapes_and_warm_discard(k3):
     # up exactly the numbers its steps would have drawn one at a time
     s, replay = chain_init(p, seed=6), chain_init(p, seed=6)
     for _ in range(3):
-        batch, s = sample_batch(k3, p, s, cfg)
+        batch = sample_batch(k3, p, s, cfg)
         replay = assert_kept_steps(p, replay, cfg, batch)
         np.testing.assert_array_equal(s.theta, replay.theta)
         assert s.log_psi == replay.log_psi
@@ -189,20 +190,20 @@ def assert_rows_evaluated(g, p, batch):
 
 def test_estimate_forces_matches_direct():
     for batch in (make_batch(50, 12, seed=6), repeated_rows_batch(50, 12, seed=6)):
-        e_mean, grad, o_mean = estimate_forces(batch)
+        grad = estimate_forces(batch)
         o = np.repeat(batch.o_matrix, batch.counts, axis=0)
         e = np.repeat(batch.e_loc, batch.counts)
         ref_mean, ref_grad = direct_forces(o, e)
-        assert e_mean == e.mean()
-        assert e_mean == pytest.approx(ref_mean, rel=1e-14)
+        assert batch.e_mean == e.mean()
+        assert batch.e_mean == pytest.approx(ref_mean, rel=1e-14)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(o_mean, o.mean(axis=0), rtol=1e-14)
+        np.testing.assert_allclose(batch.o_mean, o.mean(axis=0), rtol=1e-14)
 
 
 def test_constant_energy_gives_zero_force():
     batch = make_batch(30, 8, seed=7)
     flat = SrBatch(batch.samples, batch.o_matrix, np.full(30, 2.5), batch.counts, 0.5)
-    _, grad, _ = estimate_forces(flat)
+    grad = estimate_forces(flat)
     np.testing.assert_array_equal(grad, 0.0)
 
 
@@ -214,7 +215,7 @@ def test_estimate_forces_needs_two_samples():
     one = make_batch(1, 4, seed=1)
     for n_kept in (2, 3, 40):
         batch = SrBatch(one.samples, one.o_matrix, one.e_loc, np.array([n_kept]), 0.0)
-        _, force, _ = estimate_forces(batch)
+        force = estimate_forces(batch)
         np.testing.assert_array_equal(force, 0.0)
         for lam in SR_LAMBDAS:
             delta, residual = sr_solve(batch, force, lam)
@@ -306,7 +307,7 @@ def test_sr_solve_residual_and_dense_oracle(shape, lam, repeated):
     n_rows, n_params = shape
     seed = 20 + n_rows
     batch = (repeated_rows_batch if repeated else make_batch)(n_rows, n_params, seed)
-    _, force, _ = estimate_forces(batch)
+    force = estimate_forces(batch)
     delta, residual = sr_solve(batch, force, lam)
     assert delta.shape == (n_params,)
     direct = np.linalg.norm(apply_metric(batch, delta, lam) - force)
@@ -323,7 +324,7 @@ def test_sr_solve_lambda_zero_is_minimum_norm(shape):
     # at lam = 0 the metric is singular (centring removes one direction,
     # repeated rows more); the solve must return the pseudo-inverse solution
     batch = repeated_rows_batch(*shape, seed=30)
-    _, force, _ = estimate_forces(batch)
+    force = estimate_forces(batch)
     delta, _ = sr_solve(batch, force, 0.0)
     o = np.repeat(batch.o_matrix, batch.counts, axis=0)
     ref = np.linalg.lstsq(dense_sr_metric(o, 0.0), force, rcond=1e-10)[0]
@@ -334,7 +335,7 @@ def test_sr_solve_lambda_zero_is_minimum_norm(shape):
 def test_sr_solve_constant_energy_gives_zero_step(shape):
     batch = make_batch(*shape, seed=31)
     flat = SrBatch(batch.samples, batch.o_matrix, np.full(shape[0], 2.5), batch.counts, 0.5)
-    _, force, _ = estimate_forces(flat)
+    force = estimate_forces(flat)
     delta, residual = sr_solve(flat, force, 1e-6)
     np.testing.assert_array_equal(delta, 0.0)
     assert residual == 0.0
@@ -353,11 +354,11 @@ def test_compressed_batch_matches_expanded_twin(shape, lam):
     def close(a, b):
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
-    e_mean, force, o_mean = estimate_forces(batch)
-    twin_mean, twin_force, twin_o_mean = estimate_forces(twin)
-    assert e_mean == twin_mean
+    force = estimate_forces(batch)
+    twin_force = estimate_forces(twin)
+    assert batch.e_mean == twin.e_mean
     close(force, twin_force)
-    close(o_mean, twin_o_mean)
+    close(batch.o_mean, twin.o_mean)
     x = np.random.default_rng(34).normal(0, 1, n_params)
     close(apply_metric(batch, x, lam), apply_metric(twin, x, lam))
     close(sr_solve(batch, force, lam)[0], sr_solve(twin, twin_force, lam)[0])
@@ -378,12 +379,41 @@ def test_sr_iteration_moves_params(k3):
     p = init_random(3, seed=14)
     s = chain_init(p, seed=15)
     cfg = VmcConfig(n_samp=10, n_iter=1, seed=15)
-    p2, s2, diag = sr_iteration(k3, p, s, cfg)
+    p2, batch, residual = sr_iteration(k3, p, s, cfg)
     assert p2.n == p.n and p2.m == p.m
     assert not np.array_equal(p2.pack(), p.pack())
-    assert diag.best_energy <= max(diag.e_mean, diag.best_energy)
-    assert 0.0 <= diag.accept_rate <= 1.0
-    assert diag.best_energy == pytest.approx(cost(k3, diag.best_theta), rel=1e-12)
+    assert batch.n_kept == cfg.n_samp and residual >= 0.0
+    assert 0.0 <= batch.accept_rate <= 1.0
+    np.testing.assert_array_equal(batch.samples[-1], s.theta)
+
+
+@pytest.mark.parametrize("edgeless", [False, True])
+def test_run_vmc_records_each_iteration(k3, edgeless):
+    # the trace holds each iteration's batch and residual, as returned by
+    # sr_iteration stepped by hand, and the best theta is the first
+    # occurrence of the lowest sampled energy; on the edgeless graph every
+    # energy is 0, so that is the first kept position of the first batch
+    g = Graph(3, ()) if edgeless else k3
+    cfg = VmcConfig(n_samp=8, n_warm=2, n_iter=6, seed=12)
+    init = init_random(3, seed=[12, 1])
+    trace = run_vmc(g, cfg, init)
+    p, chain = init, chain_init(init, cfg.seed)
+    energies, samples = [], []
+    for it in range(cfg.n_iter):
+        p, batch, residual = sr_iteration(g, p, chain, cfg)
+        assert trace.e_mean[it] == batch.e_mean
+        assert trace.accept_rate[it] == batch.accept_rate
+        assert trace.residual[it] == residual
+        assert trace.min_e_loc[it] == batch.e_loc.min()
+        energies.extend(batch.e_loc)
+        samples.extend(batch.samples)
+    np.testing.assert_array_equal(trace.final_params.pack(), p.pack())
+    first = int(np.argmin(energies))
+    assert trace.best_energy == energies[first]
+    np.testing.assert_array_equal(trace.best_theta, samples[first])
+    if edgeless:
+        assert first == 0 and len(samples) > 1
+        assert not np.array_equal(samples[0], samples[-1])
 
 
 def test_run_vmc_deterministic(k3):
