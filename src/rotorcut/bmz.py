@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, cut_value
+from .graph import Graph, _integer, cut_value
 from .objective import (
     TWO_PI,
     _cartesian,
@@ -206,6 +206,7 @@ def bmz_minimize(
 
 def random_start(n: int, seed) -> np.ndarray:
     """Default initial configuration: i.i.d. uniform angles on [0, 2*pi)."""
+    n = _integer("n", n, 1)
     return np.random.default_rng(seed).uniform(0.0, TWO_PI, size=n)
 
 

@@ -28,7 +28,10 @@ def _load_graph(path: str):
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
 def cmd_gen_graph(args) -> int:
@@ -59,7 +62,7 @@ def _spec_from_args(args) -> ExperimentSpec:
     return ExperimentSpec(
         graph=_load_graph(args.graph),
         solver=args.solver,
-        seeds=_parse_seeds(args.seeds),
+        seeds=args.seeds,
         vmc=vmc,
         init=args.init,
         alpha=args.alpha,
@@ -102,7 +105,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     spec, vmc = ExperimentSpec, VmcConfig
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--solver", choices=SOLVERS, default=spec.solver)
-    p.add_argument("--seeds", default=",".join(map(str, spec.seeds)),
+    p.add_argument("--seeds", type=_parse_seeds, default=spec.seeds,
                    help="comma-separated seed list")
     p.add_argument("--n-samp", type=int, default=vmc.n_samp)
     p.add_argument("--n-warm", type=int, default=vmc.n_warm)

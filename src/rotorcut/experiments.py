@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bmz import bmz_minimize, procedure_cut, random_start
-from .graph import Graph
+from .graph import Graph, _integer, _real
 from .rbm import init_pretrained, init_random
 from .vmc import RunTrace, VmcConfig, run_vmc, write_trace_csv
 
@@ -73,6 +74,13 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
+        # a bad campaign fails here, before its first seed runs
+        if not isinstance(self.graph, Graph):
+            raise ValueError(f"graph must be a Graph, got {type(self.graph).__name__}")
+        if not isinstance(self.vmc, VmcConfig):
+            raise ValueError(f"vmc must be a VmcConfig, got {type(self.vmc).__name__}")
+        if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
+            raise ValueError(f"out_dir must be None, a str or a path, got {self.out_dir!r}")
         try:  # stored as Python ints, which the summary JSON can hold
             object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
         except TypeError:
@@ -81,24 +89,15 @@ class ExperimentSpec:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not (np.isfinite(self.r) and self.r >= 0):
-            raise ValueError(f"r must be finite and >= 0, got {self.r}")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        for name, strict in (("alpha", True), ("r", False), ("sigma", False)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, strict))
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        try:
-            object.__setattr__(self, "workers", operator.index(self.workers))
-        except TypeError:
-            raise ValueError(f"workers must be an integer, got {self.workers!r}") from None
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        object.__setattr__(self, "workers", _integer("workers", self.workers, 1))
 
 
 @dataclass
@@ -299,7 +298,8 @@ def _write_summary_json(
         "r": spec.r,
         "sigma": spec.sigma,
         "seeds": list(spec.seeds),
-        "vmc_config": asdict(spec.vmc),
+        # each run's chain seeds from its entry of "seeds", not from vmc.seed
+        "vmc_config": {k: v for k, v in asdict(spec.vmc).items() if k != "seed"},
         "stats": {
             solver: {
                 "mean": s.mean,

@@ -10,6 +10,8 @@ All randomness in this package goes through ``numpy.random.default_rng``
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,6 +30,31 @@ WeightMode = Union[str, tuple]
 
 class GraphFormatError(ValueError):
     """Malformed edge-list text or invalid generator request."""
+
+
+def _integer(name: str, value, minimum: int, error=ValueError) -> int:
+    """value as an int, if it is an integer (operator.index) >= minimum;
+    otherwise raises error, GraphFormatError for graph inputs, naming it."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if k < minimum:
+        raise error(f"{name} must be >= {minimum}, got {k}")
+    return k
+
+
+def _real(name: str, value, minimum: float, strict: bool = False, error=ValueError) -> float:
+    """value as a float, if it is a finite real number >= minimum (> minimum
+    when strict); otherwise raises error naming it."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond the range of a double
+        x = math.inf
+    if not (math.isfinite(x) and (x > minimum if strict else x >= minimum)):
+        bound = ">" if strict else ">="
+        raise error(f"{name} must be a finite number {bound} {minimum}, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -53,13 +80,8 @@ class Graph:
     )
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise GraphFormatError(f"vertex count must be an integer, got {self.n!r}") from None
+        n = _integer("vertex count", self.n, 2, GraphFormatError)
         object.__setattr__(self, "n", n)
-        if n < 2:
-            raise GraphFormatError(f"vertex count must be >= 2, got {n}")
         given = tuple(self.edges)
         not_triple = np.fromiter(map(len, given), np.intp, len(given)) != 3
         if not_triple.any():
@@ -159,8 +181,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = map(int, header.split())
     except ValueError:
         raise GraphFormatError(f"malformed header line: {header!r}") from None
-    if m < 0:
-        raise GraphFormatError(f"negative edge count: {m}")
+    m = _integer("edge count", m, 0, GraphFormatError)
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
 
@@ -195,15 +216,13 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
     weight_mode: "unit" for w = 1 on every edge, or a (lo, hi) pair for
     i.i.d. uniform weights on that range.
     """
-    if n < 2:
-        raise GraphFormatError(f"vertex count must be >= 2, got {n}")
+    n = _integer("n", n, 2, GraphFormatError)
+    m_edges = _integer("m_edges", m_edges, 0, GraphFormatError)
     max_pairs = n * (n - 1) // 2
     if m_edges > max_pairs:
         raise GraphFormatError(
             f"m_edges too large: {m_edges} > n(n-1)/2 = {max_pairs}"
         )
-    if m_edges < 0:
-        raise GraphFormatError(f"negative edge count: {m_edges}")
 
     rng = np.random.default_rng(seed)
     # A batch of m_edges - len(chosen) candidates adds at most that many
@@ -218,7 +237,8 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
     if weight_mode == "unit":
         weights = np.ones(m_edges)
     elif isinstance(weight_mode, tuple) and len(weight_mode) == 2:
-        lo, hi = float(weight_mode[0]), float(weight_mode[1])
+        lo, hi = (_real(f"weight_mode[{k}]", bound, -math.inf, error=GraphFormatError)
+                  for k, bound in enumerate(weight_mode))
         if not lo < hi:
             raise GraphFormatError(f"invalid weight range ({lo}, {hi})")
         weights = rng.uniform(lo, hi, size=m_edges)

@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
+from .graph import _integer, _real
 from .objective import TWO_PI
 
 _LOG_TWO_PI = np.log(TWO_PI)
@@ -192,27 +193,21 @@ def log_derivatives(p: RbmParams, theta) -> np.ndarray:
     return out
 
 
-def _hidden_count(n: int, alpha: float) -> int:
-    m = int(round(alpha * n))
+def _couplings(n: int, alpha: float, sigma: float, seed) -> np.ndarray:
+    """(m, n) couplings a ~ N(0, sigma^2) of m = round(alpha * n) hidden
+    units, deterministic per seed; all zero for sigma = 0."""
+    m = int(round(_real("alpha", alpha, 0.0, strict=True) * n))
     if m < 1:
         raise ValueError(f"hidden density alpha={alpha} gives no hidden units for n={n}")
-    return m
-
-
-def _couplings(m: int, n: int, sigma: float, seed) -> np.ndarray:
-    """(m, n) couplings a ~ N(0, sigma^2), deterministic per seed; all zero
-    for sigma = 0. Raises ValueError if sigma is negative or not finite."""
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"coupling scale sigma must be finite and >= 0, got {sigma}")
+    sigma = _real("sigma", sigma, 0.0)
     return np.random.default_rng(seed).normal(0.0, sigma, size=(m, n))
 
 
 def init_random(n: int, alpha: float = 1.0, sigma: float = 0.1, seed=None) -> RbmParams:
     """Gaussian couplings a ~ N(0, sigma^2), zero biases. Deterministic per seed."""
-    m = _hidden_count(n, alpha)
-    return RbmParams(
-        a=_couplings(m, n, sigma, seed), b=np.zeros((m, 2)), c=np.zeros((n, 2))
-    )
+    n = _integer("n", n, 1)
+    a = _couplings(n, alpha, sigma, seed)
+    return RbmParams(a=a, b=np.zeros((a.shape[0], 2)), c=np.zeros((n, 2)))
 
 
 def init_pretrained(
@@ -229,15 +224,9 @@ def init_pretrained(
     hidden biases start at zero and couplings at N(0, sigma^2).
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    if not (np.isfinite(r) and r >= 0):
-        raise ValueError(f"pretrained bias scale r must be finite and >= 0, got {r}")
-    n = theta_star.size
-    m = _hidden_count(n, alpha)
-    return RbmParams(
-        a=_couplings(m, n, sigma, seed),
-        b=np.zeros((m, 2)),
-        c=r * visible_vectors(theta_star),
-    )
+    r = _real("r", r, 0.0)
+    a = _couplings(theta_star.size, alpha, sigma, seed)
+    return RbmParams(a=a, b=np.zeros((a.shape[0], 2)), c=r * visible_vectors(theta_star))
 
 
 def save_params(path, p: RbmParams, config: Optional[dict] = None) -> None:

@@ -23,7 +23,6 @@ deterministic given its proposal offset and log u.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .bmz import procedure_cut
-from .graph import Graph
+from .graph import Graph, _integer, _real
 from .objective import TWO_PI, cost
 from .rbm import RbmParams, log_derivatives, log_psi
 
@@ -54,30 +53,13 @@ class VmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samp", "n_warm", "n_iter", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_warm < 0:
-            raise ValueError("n_warm must be >= 0")
+        for name, minimum in (("n_samp", 2), ("n_warm", 0), ("n_iter", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        for name, strict in (("lambda_reg", False), ("learning_rate", True),
+                             ("proposal_step", True)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, strict))
         if self.n_samp - self.n_warm < 2:
             raise ValueError("need n_samp - n_warm >= 2 kept samples")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be >= 1")
-        for name in ("lambda_reg", "learning_rate", "proposal_step"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.proposal_step <= 0:
-            raise ValueError("proposal_step must be positive")
         # the sampler draws offsets on [-step, step) as u * (2*step) - step
         if not math.isfinite(2.0 * self.proposal_step):
             raise ValueError(f"2 * proposal_step must be finite, got {self.proposal_step!r}")

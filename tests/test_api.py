@@ -4,7 +4,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import rotorcut
+from conftest import complete_graph
+from rotorcut import (
+    ExperimentSpec,
+    GraphFormatError,
+    VmcConfig,
+    generate_graph,
+    init_pretrained,
+    init_random,
+    random_start,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,3 +56,47 @@ def test_import_does_not_load_scipy_solvers():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+K3 = complete_graph(3)
+
+# (the setting, a call giving it a wrong-typed value, the error it must
+# raise): each message starts with the setting's name. A spec fails when it
+# is built, so a bad out_dir is caught before any seed runs.
+BAD_SETTINGS = {
+    "VmcConfig-lambda_reg": ("lambda_reg", lambda: VmcConfig(lambda_reg="1e-6"), ValueError),
+    "VmcConfig-learning_rate": ("learning_rate", lambda: VmcConfig(learning_rate=None), ValueError),
+    "ExperimentSpec-alpha": ("alpha", lambda: ExperimentSpec(graph=K3, alpha="1"), ValueError),
+    "ExperimentSpec-sigma": ("sigma", lambda: ExperimentSpec(graph=K3, sigma=None), ValueError),
+    "ExperimentSpec-graph": ("graph", lambda: ExperimentSpec(graph=None), ValueError),
+    "ExperimentSpec-vmc": ("vmc", lambda: ExperimentSpec(graph=K3, vmc=None), ValueError),
+    "ExperimentSpec-out_dir": ("out_dir", lambda: ExperimentSpec(graph=K3, out_dir=3), ValueError),
+    "generate_graph-m_edges": (
+        "m_edges", lambda: generate_graph(10, 5.0, "unit", 0), GraphFormatError
+    ),
+    "generate_graph-weight_mode": (
+        "weight_mode", lambda: generate_graph(10, 5, (0, "x"), 0), GraphFormatError
+    ),
+    "init_random-n": ("n", lambda: init_random(3.5), ValueError),
+    "init_random-alpha": ("alpha", lambda: init_random(4, alpha="1"), ValueError),
+    "init_random-sigma": ("sigma", lambda: init_random(4, sigma="0.1"), ValueError),
+    "init_pretrained-r": ("r", lambda: init_pretrained(np.zeros(4), r="1"), ValueError),
+    "random_start-n": ("n", lambda: random_start(3.5, seed=0), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+def test_wrong_typed_setting_raises_named_error(case):
+    name, call, error = case
+    with pytest.raises(error, match=rf"^{name}\b"):
+        call()
+
+
+def test_real_settings_are_stored_as_floats(tmp_path):
+    spec = ExperimentSpec(graph=K3, alpha=np.float32(2), r=1, out_dir=tmp_path)
+    assert (spec.alpha, spec.r) == (2.0, 1.0)
+    assert type(spec.alpha) is float and type(spec.r) is float
+    # finite as an integer, but not as a double
+    for field in ("lambda_reg", "learning_rate", "proposal_step"):
+        with pytest.raises(ValueError, match=field):
+            VmcConfig(**{field: 10**400})

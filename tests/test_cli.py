@@ -139,6 +139,11 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     code = main(["run", str(path), "--seeds", "-1"])
     assert code == 2
     assert "seeds" in capsys.readouterr().err
+    # a token that is not an integer is a usage error of the flag itself
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(path), "--seeds", "0,x"])
+    assert exit_info.value.code == 2
+    assert "argument --seeds" in capsys.readouterr().err
 
 
 def test_numerical_failure_is_reported(tmp_path, capsys, monkeypatch):

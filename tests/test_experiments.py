@@ -112,6 +112,8 @@ def test_run_experiment_stats_and_artifacts(k3, tmp_path):
     init = {key: summary[key] for key in ("init", "alpha", "r", "sigma")}
     assert init == {"init": "pretrained", "alpha": 2.0, "r": 1.5, "sigma": 0.2}
     assert "alpha" not in summary["vmc_config"]
+    # each run's chain seeds from its entry of "seeds", so FAST.seed is not echoed
+    assert "seed" not in summary["vmc_config"]
     assert summary["seeds"] == [0, 1, 2]
 
     spec = ExperimentSpec(
