@@ -14,7 +14,6 @@ import json
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -81,6 +80,19 @@ class ExperimentSpec:
             raise ValueError(f"vmc must be a VmcConfig, got {type(self.vmc).__name__}")
         if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
             raise ValueError(f"out_dir must be None, a str or a path, got {self.out_dir!r}")
+        if self.out_dir is not None:
+            # made after the last seed runs, so no existing part may be a file
+            out = Path(self.out_dir)
+            first = next((p for p in (out, *out.parents) if p.exists()), None)
+            if first is not None and not first.is_dir():
+                raise ValueError(
+                    f"out_dir {str(out)!r} cannot be a directory: {str(first)!r} is a file"
+                )
+        # the label starts the artifact file names inside out_dir
+        label = self.label
+        if (not isinstance(label, str) or label in ("", ".", "..")
+                or any(sep in label for sep in (os.sep, os.altsep, "\0") if sep)):
+            raise ValueError(f"label must be a file name, not a path, got {label!r}")
         try:  # stored as Python ints, which the summary JSON can hold
             object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
         except TypeError:
@@ -175,6 +187,9 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, SeedStats]:
     if spec.workers == 1:
         results = [run_seed(spec, seed) for seed in spec.seeds]
     else:
+        # imported here, so that `import rotorcut` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             results = list(pool.map(run_seed, repeat(spec), spec.seeds))
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from functools import cached_property
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -57,13 +58,15 @@ def _real(name: str, value, minimum: float, strict: bool = False, error=ValueErr
     return x
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected weighted graph with 0-based vertex indices.
 
-    Edges are stored as (i, j, w) triples of integer endpoints with i < j;
-    each unordered pair appears at most once and self-loops are rejected.
-    edge_arrays holds the same edges as (ii, jj, ww) arrays for vector ops.
+    The edges are stored once, as the arrays edge_arrays = (ii, jj, ww):
+    integer endpoints with ii < jj and float weights, read-only. Each
+    unordered pair appears at most once and self-loops are rejected.
+    Graph(n, edges) takes (i, j, w) triples, and the edges attribute gives
+    them back as a tuple of triples, built from the arrays on first access;
+    equality, hashing and repr mean what they would on (n, edges).
     Instances are immutable and safe to share across threads.
 
     The given edges are checked here, as arrays, wherever they came from.
@@ -74,15 +77,11 @@ class Graph:
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
-    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False
-    )
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        n = _integer("vertex count", self.n, 2, GraphFormatError)
-        object.__setattr__(self, "n", n)
-        given = tuple(self.edges)
+    def __init__(self, n: int, edges):
+        n = _integer("vertex count", n, 2, GraphFormatError)
+        given = tuple(edges)
         not_triple = np.fromiter(map(len, given), np.intp, len(given)) != 3
         if not_triple.any():
             k = int(np.argmax(not_triple))
@@ -102,9 +101,22 @@ class Graph:
             ww = np.fromiter(ww, float, len(given))
         except (TypeError, ValueError):
             raise GraphFormatError("edge weights must be real numbers") from None
-        lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+        self._store(n, ii, jj, ww)
 
-        repeated = np.ones(len(given), dtype=bool)
+    @classmethod
+    def _from_arrays(cls, n, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> Graph:
+        """The graph on integer endpoint arrays ii, jj and a float weight
+        array ww, checked as Graph checks triples; edges[k] in a message is
+        position k of the arrays. Takes ownership of ww."""
+        g = cls.__new__(cls)
+        g._store(_integer("vertex count", n, 2, GraphFormatError), ii, jj, ww)
+        return g
+
+    def _store(self, n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> None:
+        """Check the edges, as the class docstring says, and keep them as
+        read-only arrays with lo < hi."""
+        lo, hi = np.minimum(ii, jj, dtype=np.intp), np.maximum(ii, jj, dtype=np.intp)
+        repeated = np.ones(len(ww), dtype=bool)
         repeated[np.unique(lo * n + hi, return_index=True)[1]] = False
         faults = {
             "self-loop": lo == hi,
@@ -117,14 +129,48 @@ class Graph:
                 k = int(np.argmax(bad))
                 edge = (int(ii[k]), int(jj[k]), float(ww[k]))
                 raise GraphFormatError(f"{fault} at edges[{k}]: {edge}")
+        self.__setstate__((n, (lo, hi, ww)))
 
-        edges = tuple(zip(lo.tolist(), hi.tolist(), ww.tolist()))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "edge_arrays", (lo, hi, ww))
+    def __setstate__(self, state) -> None:
+        n, arrays = state
+        for a in arrays:
+            a.flags.writeable = False
+        self.__dict__.update(n=n, edge_arrays=arrays)
+
+    def __getstate__(self):
+        # a pickle holds the arrays only; the caches are rebuilt on use
+        return self.n, self.edge_arrays
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and all(
+            map(np.array_equal, self.edge_arrays, other.edge_arrays)
+        )
+
+    def __hash__(self) -> int:
+        ii, jj, ww = self.edge_arrays
+        # + 0.0 turns -0.0 into 0.0, which it equals
+        return hash((self.n, ii.tobytes(), jj.tobytes(), (ww + 0.0).tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as (i, j, w) triples of Python numbers, i < j, in the
+        order they were given."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_arrays[2])
 
     def _symmetric(self, upper: np.ndarray, diag: np.ndarray) -> sparse.csr_array:
         """n x n CSR matrix with upper[k] at (i, j) and (j, i) for edge k =
@@ -157,7 +203,8 @@ class Graph:
 
     @property
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        # Python's sum in edge order, as summing the triples gives
+        return float(sum(self.edge_arrays[2].tolist()))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -171,22 +218,35 @@ def parse_edge_list(text: str) -> Graph:
     self-loops, duplicate edges, out-of-range indices, non-finite weights
     and n < 2.
     """
-    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
-    lines = [(lineno, line) for lineno, line in numbered if line]
-    if not lines:
+    lines = text.splitlines()
+    rows = list(filter(None, map(str.split, lines)))  # tokens of non-blank lines
+    if not rows:
         raise GraphFormatError("empty edge-list text")
 
-    header = lines[0][1]
     try:
-        n, m = map(int, header.split())
+        n, m = map(int, rows[0])
     except ValueError:
+        header = next(filter(None, map(str.strip, lines)))
         raise GraphFormatError(f"malformed header line: {header!r}") from None
     m = _integer("edge count", m, 0, GraphFormatError)
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    if len(rows) - 1 != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
 
+    if set(map(len, rows[1:])) <= {3}:
+        ii, jj, ww = zip(*rows[1:]) if m else ((), (), ())
+        try:
+            ends = np.fromiter(map(int, chain(ii, jj)), np.intp, 2 * m)
+            weights = np.fromiter(map(float, ww), float, m)
+        except (ValueError, OverflowError):
+            ends = None
+        if ends is not None and ends.min(initial=1) >= 1:
+            ends -= 1
+            return Graph._from_arrays(n, ends[:m], ends[m:], weights)
+    # Line by line: names the first malformed line, or hands Graph the
+    # Python ints (an index below 1 or beyond intp) whose fault it names.
+    numbered = enumerate(map(str.strip, lines), start=1)
     edges = []
-    for lineno, line in lines[1:]:
+    for lineno, line in [(k, line) for k, line in numbered if line][1:]:
         try:
             i, j, w = line.split()
             edges.append((int(i) - 1, int(j) - 1, float(w)))
@@ -200,10 +260,9 @@ def serialize_edge_list(g: Graph) -> str:
 
     parse_edge_list(serialize_edge_list(g)) == g.
     """
-    out = [f"{g.n} {g.m}"]
-    for i, j, w in g.edges:
-        out.append(f"{i + 1} {j + 1} {w!r}")
-    return "\n".join(out) + "\n"
+    ii, jj, ww = g.edge_arrays
+    triples = zip((ii + 1).tolist(), (jj + 1).tolist(), ww.tolist())
+    return f"{g.n} {g.m}\n" + "".join([f"{i} {j} {w!r}\n" for i, j, w in triples])
 
 
 def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph:
@@ -245,8 +304,7 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
     else:
         raise GraphFormatError(f"unknown weight mode: {weight_mode!r}")
 
-    edges = tuple(zip(ii.tolist(), jj.tolist(), weights.tolist()))
-    return Graph(n=n, edges=edges)
+    return Graph._from_arrays(n, ii, jj, weights)
 
 
 def _check_assignment(g: Graph, x) -> np.ndarray:
@@ -293,7 +351,7 @@ def brute_force_max_cut(g: Graph) -> tuple[float, np.ndarray]:
         bits = (masks[:, None] >> shifts[None, :]) & np.uint32(1)
         labels = np.zeros((masks.size, g.n), dtype=np.uint32)
         labels[:, 1:] = bits
-        if len(g.edges):
+        if g.m:
             crossing = labels[:, ii] != labels[:, jj]
             values = crossing.astype(float) @ ww
         else:

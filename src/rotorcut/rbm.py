@@ -20,6 +20,7 @@ I1/I0 and drive the stochastic reconfiguration update.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -28,7 +29,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .graph import _integer, _real
 from .objective import TWO_PI
@@ -40,6 +40,15 @@ _CHECKPOINT_MAGIC = b"RCUT"
 PACKING_VERSION = 1
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported at the first Bessel evaluation: a process
+    that only generates, parses or runs BMZ never loads it."""
+    from scipy import special
+
+    return special
+
+
 def _log_i0(arr: np.ndarray) -> np.ndarray:
     """log I0(x) of a finite, nonnegative float array, overflow-free via the
     exponentially scaled i0e.
@@ -49,7 +58,7 @@ def _log_i0(arr: np.ndarray) -> np.ndarray:
     arguments switch to log1p of the power series. Stays accurate out to
     x ~ 1e6 and beyond, where log I0(x) ~ x - log(2*pi*x)/2.
     """
-    large = np.log(special.i0e(arr))
+    large = np.log(_special().i0e(arr))
     large += arr
     # the usual case on the sampling path: no argument needs the series
     if arr.size and np.minimum.reduce(arr, axis=None) > 0.05:
@@ -63,6 +72,7 @@ def _log_i0(arr: np.ndarray) -> np.ndarray:
 def _ratio(arr: np.ndarray) -> np.ndarray:
     """I1(x)/I0(x), the derivative of log I0, of a finite, nonnegative float
     array: monotone increasing from 0 toward 1, always inside [0, 1)."""
+    special = _special()
     return special.i1e(arr) / special.i0e(arr)
 
 

@@ -17,7 +17,9 @@ Steihaug-CG, the former one, on every iteration, so it pins both the loop
 and the package's reuse of one Krylov path after a rejected step. The
 former log psi, which allocated every intermediate, and the former
 Metropolis draw, taken one step at a time, pin the in-place log psi and
-the segment draw of the sampler bit for bit.
+the segment draw of the sampler bit for bit. The former edge-list parser,
+which read one line at a time into triples for Graph, pins the array
+parse: every text gives the same graph or the same error.
 """
 
 import itertools
@@ -26,8 +28,11 @@ import mpmath
 import numpy as np
 from scipy import sparse, special
 
-from rotorcut import cost, cost_gradient, cost_hessian, cut_value, wrap_angles
+from rotorcut import (
+    Graph, GraphFormatError, cost, cost_gradient, cost_hessian, cut_value, wrap_angles,
+)
 from rotorcut.bmz import _check_angles
+from rotorcut.graph import _integer
 
 mpmath.mp.dps = 50
 
@@ -251,6 +256,32 @@ def loop_generated_edges(n, m_edges, weight_mode, seed):
         lo, hi = weight_mode
         weights = rng.uniform(lo, hi, size=m_edges).tolist()
     return tuple((i, j, w) for (i, j), w in zip(sorted(chosen), weights))
+
+
+def former_parse_edge_list(text):
+    """parse_edge_list as one line at a time: the stripped non-blank lines,
+    the "n m" header, then int(i) - 1, int(j) - 1, float(w) per edge line,
+    handed to Graph as triples."""
+    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
+    lines = [(lineno, line) for lineno, line in numbered if line]
+    if not lines:
+        raise GraphFormatError("empty edge-list text")
+    header = lines[0][1]
+    try:
+        n, m = map(int, header.split())
+    except ValueError:
+        raise GraphFormatError(f"malformed header line: {header!r}") from None
+    m = _integer("edge count", m, 0, GraphFormatError)
+    if len(lines) - 1 != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    edges = []
+    for lineno, line in lines[1:]:
+        try:
+            i, j, w = line.split()
+            edges.append((int(i) - 1, int(j) - 1, float(w)))
+        except ValueError:
+            raise GraphFormatError(f"malformed edge line {lineno}: {line!r}") from None
+    return Graph(n=n, edges=tuple(edges))
 
 
 def _former_boundary_tau(z, d, radius):

@@ -58,6 +58,37 @@ def test_import_does_not_load_scipy_solvers():
     assert out.strip() == "False"
 
 
+BMZ_ONLY = """
+import sys
+import numpy as np
+import rotorcut as rc
+
+g = rc.parse_edge_list(rc.serialize_edge_list(rc.generate_graph(60, 200, "unit", 0)))
+theta, _, _ = rc.bmz_minimize(g, rc.random_start(g.n, seed=1))
+rc.procedure_cut(g, theta)
+rc.run_experiment(rc.ExperimentSpec(graph=g, solver="bmz", seeds=(0, 1)))
+rc.brute_force_max_cut(rc.generate_graph(10, 20, "unit", 0))
+unused = ("scipy.special", "concurrent.futures.process", "multiprocessing")
+print(sorted(set(unused) & set(sys.modules)))
+p, t = rc.init_random(6, seed=0), np.linspace(0.0, 6.0, 6)
+value = rc.log_psi(p, t)
+print("scipy.special" in sys.modules)
+from oracles import former_log_psi
+print(value == former_log_psi(p, t))
+"""
+
+
+def test_bmz_only_process_never_loads_bessel_or_process_pool():
+    # a process that only parses, generates and runs BMZ does not import
+    # scipy.special or the process pool; the first log psi loads the former
+    tests = Path(__file__).resolve().parent
+    src = Path(rotorcut.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    out = subprocess.run([sys.executable, "-c", BMZ_ONLY], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[:3] == ["[]", "True", "True"]
+
+
 K3 = complete_graph(3)
 
 # (the setting, a call giving it a wrong-typed value, the error it must

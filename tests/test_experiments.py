@@ -50,6 +50,24 @@ def test_spec_validation(k3):
     ExperimentSpec(graph=k3, r=0.0, sigma=0.0)
 
 
+def test_spec_rejects_unwritable_artifact_names(k3, tmp_path):
+    # the artifacts are written after the last seed, so a name that cannot
+    # be written fails when the spec is built, before any seed runs
+    out = tmp_path / "out"
+    for bad in ("a/b", "", ".", "..", "a\0b", 3, None):
+        with pytest.raises(ValueError, match=r"^label must be a file name"):
+            ExperimentSpec(graph=k3, solver="bmz", seeds=(0, 1), label=bad, out_dir=out)
+    a_file = tmp_path / "taken.txt"
+    a_file.write_text("")
+    for bad in (a_file, str(a_file), a_file / "sub"):
+        with pytest.raises(ValueError, match=r"^out_dir .* is a file"):
+            ExperimentSpec(graph=k3, solver="bmz", seeds=(0, 1), out_dir=bad)
+    assert not out.exists()
+    # a directory that does not exist yet is made when the artifacts are written
+    spec = ExperimentSpec(graph=k3, solver="bmz", seeds=(0,), label="a.b-c", out_dir=out / "x")
+    assert spec.label == "a.b-c"
+
+
 def test_aggregate_matches_recomputation():
     rows = [
         SeedResult("nqs", s, e, c, w)

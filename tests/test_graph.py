@@ -1,4 +1,7 @@
+import copy
 import hashlib
+import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from rotorcut import (
     parse_edge_list,
     serialize_edge_list,
 )
-from oracles import enumerate_max_cut, loop_generated_edges
+from oracles import enumerate_max_cut, former_parse_edge_list, loop_generated_edges
 
 K3_TEXT = "3 3\n1 2 1.0\n2 3 1.0\n1 3 1.0\n"
 
@@ -58,11 +61,140 @@ def test_serialize_round_trip():
         ("3 1\n\n1 2 x\n", "malformed edge line 3:"),
         ("\n\n3 1\n1 2 x\n", "malformed edge line 4:"),
         ("3 2\n1 2 1.0\n\n2 2 1.0\n", r"self-loop at edges\[1\]: \(1, 1, 1.0\)"),
+        ("3 1\r\n1 2 x\r\n", r"malformed edge line 2: '1 2 x'$"),
+        ("3 1\n1\t2.5\t1.0\n", r"malformed edge line 2: '1\\t2.5\\t1.0'"),
+        ("3 1\n1.0 2 1.0\n", "malformed edge line 2:"),
+        # two tokens on one line and four on the next are still malformed
+        ("3 2\n1 2\n2 3 1.0 4\n", "malformed edge line 2:"),
+        ("3 1\n0 2 1.0\n", r"out of range \[0, 3\) at edges\[0\]: \(-1, 1, 1.0\)"),
+        ("3 2\n1 2 1.0\n2 3 inf\n", r"non-finite weight at edges\[1\]: \(1, 2, inf\)"),
+        ("3 1\n1 2 -1e400\n", r"non-finite weight at edges\[0\]: \(0, 1, -inf\)"),
+        # indices that do not fit a machine integer
+        ("3 1\n1 99999999999999999999 1.0\n", "vertex indices must be integers"),
+        ("3 1\n-9223372036854775808 2 1.0\n", "vertex indices must be integers"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         parse_edge_list(text)
+
+
+def test_parse_error_deep_in_a_long_file():
+    lines = serialize_edge_list(generate_graph(80, 2000, (0.0, 15.0), 3)).splitlines()
+    lines[1500] = lines[1500].rsplit(" ", 1)[0] + " 1.2.3"
+    lines.insert(40, "")  # a blank line still counts
+    text = "\r\n".join(lines)
+    with pytest.raises(GraphFormatError, match=r"^malformed edge line 1502: '\d+ \d+ 1.2.3'$"):
+        parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 3\r\n1 2 1.0\r\n2 3 1.0\r\n1 3 1.0\r\n",
+        "3\t3\n1\t2\t1.0\n  2 3   1.0  \n\n\n1 3 1.0",
+        "\n\n3 3\n\n1 2 1.0\n \t \n2 3 1.0\n1 3 1e0\n\n",
+        "3 3\n+1 2 1.0\n2 3 1.0\n3 1 1.0\n",
+    ],
+    ids=["crlf", "tabs", "blank-lines", "signs-and-order"],
+)
+def test_parse_whitespace_variants(text):
+    g = parse_edge_list(text)
+    assert g == parse_edge_list(K3_TEXT)
+    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
+
+
+def test_parse_no_edges():
+    g = parse_edge_list("4 0\n")
+    assert g == Graph(4, []) and g.m == 0 and g.edges == ()
+    assert [a.size for a in g.edge_arrays] == [0, 0, 0]
+    assert g.total_weight == 0.0
+    assert serialize_edge_list(g) == "4 0\n"
+
+
+def test_parse_matches_line_by_line_oracle():
+    # random texts, most of them faulty: the same graph or the same error
+    tokens = ["1", "2", "3", "0", "-1", "4", "1.5", "x", "nan", "inf", "+2", "2_0",
+              "1e400", "-0.0", "99999999999999999999", "-9223372036854775808"]
+    rng = np.random.default_rng(5)
+    for case in range(1500):
+        n, m = (int(k) for k in rng.integers(1, 6, size=2))
+        lines = [f"{n} {m}"]
+        for _ in range(m + (int(rng.integers(-1, 2)) if case % 4 == 0 else 0)):
+            if rng.random() < 0.7:
+                i, j = rng.integers(1, n + 2, size=2)
+                row = [str(i), str(j), repr(float(rng.uniform(-2.0, 5.0)))]
+            else:
+                row = list(rng.choice(tokens, size=int(rng.integers(1, 5))))
+            lines.append(" \t  "[int(rng.integers(3))].join(row))
+            if rng.random() < 0.1:
+                lines.append(" ")
+        eol = "\r\n" if case % 2 else "\n"
+        text = eol.join(lines) + eol
+        outcomes = []
+        for parse in (parse_edge_list, former_parse_edge_list):
+            try:
+                g = parse(text)
+                outcomes.append((g.n, g.edges))
+            except GraphFormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], text
+
+
+def test_equality_hash_and_pickle():
+    g = generate_graph(30, 100, weight_mode=(-1.0, 2.0), seed=4)
+    g.adjacency  # a cached matrix is not part of the graph's value
+    assert g.edges == tuple(zip(*(a.tolist() for a in g.edge_arrays)))
+    assert all(type(i) is int and type(w) is float for i, _, w in g.edges)
+    assert repr(g) == f"Graph(n=30, edges={g.edges!r})"
+    blob = pickle.dumps(g)
+    assert len(blob) < len(pickle.dumps(g.edge_arrays)) + 500
+    copies = [
+        Graph(g.n, g.edges), parse_edge_list(serialize_edge_list(g)),
+        pickle.loads(blob), copy.copy(g), copy.deepcopy(g),
+    ]
+    for h in copies:
+        assert h == g and hash(h) == hash(g) and h.edges == g.edges
+        assert serialize_edge_list(h) == serialize_edge_list(g)
+        assert not any(a.flags.writeable for a in h.edge_arrays)
+    assert {g: 1}[copies[0]] == 1
+    # -0.0 == 0.0, as for the tuples
+    zero, minus_zero = Graph(3, [(0, 1, 0.0)]), Graph(3, [(1, 0, -0.0)])
+    assert zero == minus_zero and hash(zero) == hash(minus_zero)
+    (i, j, w), rest = g.edges[0], g.edges[1:]
+    unequal = [
+        Graph(31, g.edges), Graph(g.n, g.edges[::-1]), Graph(g.n, rest),
+        Graph(g.n, ((i, j, w + 1.0),) + rest),
+    ]
+    for h in unequal:
+        assert h != g and not h == g
+    assert g != g.edges and g != (g.n, g.edges)
+
+
+def test_graph_is_immutable():
+    g = parse_edge_list(K3_TEXT)
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(AttributeError):
+        g.edge_arrays = ()
+    with pytest.raises(AttributeError):
+        del g.n
+    for a in g.edge_arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 2
+
+
+def test_total_weight_is_python_sum_in_edge_order():
+    # a pairwise np.sum gives 0.0 here, and Python's sum 1.0 (8.0 on
+    # Python >= 3.12, which compensates)
+    weights = [1e16, 1.0, -1e16, 1.0] * 4
+    g = Graph(8, [(i, j, w) for (i, j), w in zip(itertools.combinations(range(8), 2), weights)])
+    expected = sum(w for _, _, w in g.edges)
+    assert float(np.sum(g.edge_arrays[2])) != expected
+    assert g.total_weight == expected and type(g.total_weight) is float
+    for seed in range(5):
+        g = generate_graph(200, 3000, weight_mode=(-3.0, 15.0), seed=seed)
+        assert g.total_weight == sum(w for _, _, w in g.edges)
 
 
 def test_generate_graph_deterministic():
