@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import Graph, _integer, cut_value
+from .graph import Graph, _angles, _integer, cut_value
 from .objective import (
     TWO_PI,
     _cartesian,
@@ -44,11 +44,8 @@ _ACCEPT_RATIO_HI = 0.75   # grow it above this one (on boundary steps)
 
 
 def _check_angles(g: Graph, theta) -> np.ndarray:
-    """Wrapped copy of a rotor configuration; raises ValueError on a length
-    mismatch or a non-finite angle."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (g.n,):
-        raise ValueError(f"rotor config length {theta.shape} does not match n={g.n}")
+    """_angles(theta, n), wrapped; raises ValueError on a non-finite angle."""
+    theta = _angles(theta, g.n)
     if not np.all(np.isfinite(theta)):
         raise ValueError("rotor angles must be finite")
     return wrap_angles(theta)

@@ -26,6 +26,9 @@ BRUTE_FORCE_MAX_NODES = 24
 # bipartitions scored per vectorized block of the enumeration
 _BRUTE_FORCE_CHUNK = 1 << 16
 
+# the largest n with n * n < 2**63, so a pair i < j keyed as i * n + j fits
+_MAX_VERTICES = math.isqrt(2**63 - 1)
+
 WeightMode = Union[str, tuple]
 
 
@@ -33,15 +36,17 @@ class GraphFormatError(ValueError):
     """Malformed edge-list text or invalid generator request."""
 
 
-def _integer(name: str, value, minimum: int, error=ValueError) -> int:
-    """value as an int, if it is an integer (operator.index) >= minimum;
-    otherwise raises error, GraphFormatError for graph inputs, naming it."""
+def _integer(name: str, value, minimum: int, error=ValueError, maximum=math.inf) -> int:
+    """value as an int, if it is an integer (operator.index) in [minimum,
+    maximum]; otherwise raises error, GraphFormatError for graph inputs, naming it."""
     try:
         k = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
     if k < minimum:
         raise error(f"{name} must be >= {minimum}, got {k}")
+    if k > maximum:
+        raise error(f"{name} must be <= {maximum}, got {k}")
     return k
 
 
@@ -56,6 +61,16 @@ def _real(name: str, value, minimum: float, strict: bool = False, error=ValueErr
         bound = ">" if strict else ">="
         raise error(f"{name} must be a finite number {bound} {minimum}, got {value!r}")
     return x
+
+
+def _angles(theta, n: int, batch: bool = False) -> np.ndarray:
+    """theta as a float array of shape (n,), or with batch also (K, n);
+    otherwise raises ValueError naming the shape it got and the one it needs."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n,) and not (batch and theta.ndim == 2 and theta.shape[1] == n):
+        need = f"({n},) or (K, {n})" if batch else f"({n},)"
+        raise ValueError(f"rotor angles must have shape {need}, got {theta.shape}")
+    return theta
 
 
 class Graph:
@@ -80,7 +95,6 @@ class Graph:
     edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __init__(self, n: int, edges):
-        n = _integer("vertex count", n, 2, GraphFormatError)
         given = tuple(edges)
         not_triple = np.fromiter(map(len, given), np.intp, len(given)) != 3
         if not_triple.any():
@@ -109,12 +123,13 @@ class Graph:
         array ww, checked as Graph checks triples; edges[k] in a message is
         position k of the arrays. Takes ownership of ww."""
         g = cls.__new__(cls)
-        g._store(_integer("vertex count", n, 2, GraphFormatError), ii, jj, ww)
+        g._store(n, ii, jj, ww)
         return g
 
-    def _store(self, n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> None:
-        """Check the edges, as the class docstring says, and keep them as
-        read-only arrays with lo < hi."""
+    def _store(self, n, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> None:
+        """Check the vertex count and the edges, as the class docstring says,
+        and keep them, the edges as read-only arrays with lo < hi."""
+        n = _integer("vertex count", n, 2, GraphFormatError, _MAX_VERTICES)
         lo, hi = np.minimum(ii, jj, dtype=np.intp), np.maximum(ii, jj, dtype=np.intp)
         repeated = np.ones(len(ww), dtype=bool)
         repeated[np.unique(lo * n + hi, return_index=True)[1]] = False
@@ -172,34 +187,35 @@ class Graph:
     def m(self) -> int:
         return len(self.edge_arrays[2])
 
-    def _symmetric(self, upper: np.ndarray, diag: np.ndarray) -> sparse.csr_array:
-        """n x n CSR matrix with upper[k] at (i, j) and (j, i) for edge k =
-        (i, j), and diag[i] at (i, i). Column indices are sorted within each
-        row, so every matrix built here stores its entries in the same order.
-        """
-        ii, jj, _ = self.edge_arrays
-        d = np.arange(self.n, dtype=np.intp)
-        rows = np.concatenate([ii, jj, d])
-        cols = np.concatenate([jj, ii, d])
-        data = np.concatenate([upper, upper, diag])
-        return sparse.coo_array((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
-
     @cached_property
+    def _csr(self) -> tuple[sparse.csr_array, np.ndarray]:
+        """(adjacency, _hessian_slots) from one stable sort by (row, column)
+        of the 2m + n stored entries: entry k is edge k at (i, j), m + k the
+        same edge at (j, i), and 2m + i the diagonal (i, i)."""
+        n, m = self.n, self.m
+        ii, jj, ww = self.edge_arrays
+        d = np.arange(n, dtype=np.intp)
+        rows, cols = np.hstack([(ii, jj), (jj, ii), (d, d)])
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        data = np.concatenate([ww, ww, np.zeros(n)])[order]
+        adjacency = sparse.csr_array((data, cols[order], indptr), shape=(n, n))
+        return adjacency, np.where(order < m, order, order - m)
+
+    @property
     def adjacency(self) -> sparse.csr_array:
         """Weighted adjacency as a symmetric n x n CSR matrix: w_ij at (i, j)
         and (j, i) for every edge, and an explicit zero on every diagonal
         entry, so the rotor Hessian (objective.cost_hessian) fills this same
-        pattern. Column indices are sorted within each row.
-        """
-        return self._symmetric(self.edge_arrays[2], np.zeros(self.n))
+        pattern. Column indices are sorted within each row. Cached."""
+        return self._csr[0]
 
-    @cached_property
+    @property
     def _hessian_slots(self) -> np.ndarray:
         """For each stored entry of adjacency, in order, where the rotor
         Hessian takes its value from: k for edge k, at (i, j) or (j, i), and
-        m + i for the diagonal entry (i, i)."""
-        k = np.arange(self.m + self.n, dtype=np.intp)
-        return self._symmetric(k[:self.m], k[self.m:]).data
+        m + i for the diagonal entry (i, i). Cached."""
+        return self._csr[1]
 
     @property
     def total_weight(self) -> float:
@@ -275,7 +291,7 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
     weight_mode: "unit" for w = 1 on every edge, or a (lo, hi) pair for
     i.i.d. uniform weights on that range.
     """
-    n = _integer("n", n, 2, GraphFormatError)
+    n = _integer("n", n, 2, GraphFormatError, _MAX_VERTICES)
     m_edges = _integer("m_edges", m_edges, 0, GraphFormatError)
     max_pairs = n * (n - 1) // 2
     if m_edges > max_pairs:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .graph import Graph
+from .graph import Graph, _angles
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,15 +37,10 @@ def wrap_angles(theta) -> np.ndarray:
     return np.where(wrapped == TWO_PI, 0.0, wrapped)
 
 
-def _cartesian(g: Graph, theta, batch: bool = False) -> tuple[np.ndarray, ...]:
-    """(c, s, Ac, As) with c = cos t, s = sin t and A = g.adjacency, for one
-    configuration (n,) or, with batch=True, also for a batch (K, n), each
-    row equal to the single-configuration result. Raises ValueError on any
-    other shape.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in ((1, 2) if batch else (1,)) or theta.shape[-1] != g.n:
-        raise ValueError(f"rotor configs of shape {theta.shape} do not match n={g.n}")
+def _cartesian(g: Graph, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c, s, Ac, As) with c = cos t, s = sin t and A = g.adjacency, for
+    angles already checked by _angles: one configuration (n,) or a batch
+    (K, n), each row equal to the single-configuration result."""
     c, s = np.cos(theta), np.sin(theta)
     a = g.adjacency
     if theta.ndim == 1:
@@ -92,14 +87,14 @@ def cost(g: Graph, theta) -> float | np.ndarray:
     array of shape (K,), each entry equal to the single-configuration value.
     Invariant under global rotation t -> t + phi and reflection t -> -t.
     """
-    e = _energy(*_cartesian(g, theta, batch=True))
+    e = _energy(*_cartesian(g, _angles(theta, g.n, batch=True)))
     return float(e) if e.ndim == 0 else e
 
 
 def cost_gradient(g: Graph, theta) -> np.ndarray:
     """Analytic gradient: d/dt_i = -sum_j w_ij * sin(t_i - t_j)
     = c_i (As)_i - s_i (Ac)_i."""
-    return _gradient(*_cartesian(g, theta))
+    return _gradient(*_cartesian(g, _angles(theta, g.n)))
 
 
 def cost_hessian(g: Graph, theta) -> sparse.csr_array:
@@ -112,5 +107,5 @@ def cost_hessian(g: Graph, theta) -> sparse.csr_array:
     copy of it.
     """
     hess = g.adjacency.copy()
-    _fill_hessian(g, *_cartesian(g, theta), hess.data)
+    _fill_hessian(g, *_cartesian(g, _angles(theta, g.n)), hess.data)
     return hess

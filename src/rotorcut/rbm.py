@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import _integer, _real
+from .graph import _angles, _integer, _real
 from .objective import TWO_PI
 
 _LOG_TWO_PI = np.log(TWO_PI)
@@ -146,19 +146,17 @@ class RbmParams:
         return cls(a=a.copy(), b=b.copy(), c=c.copy())
 
 
-def _fields(p: RbmParams, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(v, u, |u_i|) for one configuration (n,) or a batch (K, n): shapes
-    (..., n, 2), (..., m, 2) and (..., m), with u = b + a v the effective
-    fields. Raises ValueError on any other shape or a non-finite angle.
+def _fields(p: RbmParams, theta, batch: bool = True) -> tuple[np.ndarray, ...]:
+    """(v, u, |u_i|) for one configuration (n,) or, with batch, a batch
+    (K, n): shapes (..., n, 2), (..., m, 2) and (..., m), with u = b + a v
+    the effective fields. Raises ValueError on any other shape (_angles) or
+    a non-finite angle.
 
     The parameters are finite by construction, so a finite theta gives
     finite, nonnegative norms, the only arguments _log_i0 and _ratio accept;
     this one check covers them on the sampling hot path.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != p.n:
-        raise ValueError(f"rotor configs of shape {theta.shape} do not match n={p.n}")
-    v = visible_vectors(theta)
+    v = visible_vectors(_angles(theta, p.n, batch))
     u = p.a @ v
     u += p.b
     sq = np.add.reduce(u * u, axis=-1)
@@ -169,9 +167,7 @@ def _fields(p: RbmParams, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def log_psi(p: RbmParams, theta) -> float:
     """Closed-form log wavefunction of one configuration; see module docstring."""
-    v, _, norms = _fields(p, theta)
-    if v.ndim != 2:
-        raise ValueError("log_psi scores one configuration of shape (n,)")
+    v, _, norms = _fields(p, theta, batch=False)
     v *= p.c
     return float(
         np.add.reduce(v, axis=None) + p.m * _LOG_TWO_PI + np.add.reduce(_log_i0(norms))

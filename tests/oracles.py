@@ -19,7 +19,9 @@ former log psi, which allocated every intermediate, and the former
 Metropolis draw, taken one step at a time, pin the in-place log psi and
 the segment draw of the sampler bit for bit. The former edge-list parser,
 which read one line at a time into triples for Graph, pins the array
-parse: every text gives the same graph or the same error.
+parse: every text gives the same graph or the same error. The former
+symmetric CSR build, through SciPy's COO conversion, pins the graph's
+adjacency and Hessian slots, now built from one sort.
 """
 
 import itertools
@@ -282,6 +284,19 @@ def former_parse_edge_list(text):
         except ValueError:
             raise GraphFormatError(f"malformed edge line {lineno}: {line!r}") from None
     return Graph(n=n, edges=tuple(edges))
+
+
+def former_symmetric(g, upper, diag):
+    """n x n CSR matrix with upper[k] at (i, j) and (j, i) for edge k =
+    (i, j), and diag[i] at (i, i), as Graph built its adjacency (upper =
+    the weights, diag = zeros) and Hessian slots (upper = 0..m-1, diag =
+    m..m+n-1, read from .data) through SciPy's COO to CSR conversion."""
+    ii, jj, _ = g.edge_arrays
+    d = np.arange(g.n, dtype=np.intp)
+    rows = np.concatenate([ii, jj, d])
+    cols = np.concatenate([jj, ii, d])
+    data = np.concatenate([upper, upper, diag])
+    return sparse.coo_array((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
 def _former_boundary_tau(z, d, radius):

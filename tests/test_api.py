@@ -13,9 +13,16 @@ from rotorcut import (
     ExperimentSpec,
     GraphFormatError,
     VmcConfig,
+    bmz_minimize,
+    cost,
+    cost_gradient,
+    cost_hessian,
     generate_graph,
     init_pretrained,
     init_random,
+    log_derivatives,
+    log_psi,
+    procedure_cut,
     random_start,
 )
 
@@ -131,3 +138,39 @@ def test_real_settings_are_stored_as_floats(tmp_path):
     for field in ("lambda_reg", "learning_rate", "proposal_step"):
         with pytest.raises(ValueError, match=field):
             VmcConfig(**{field: 10**400})
+
+
+P3 = init_random(3, seed=0)
+
+# every public function that takes rotor angles, called on K3 (or a
+# 3-visible RBM), and whether it also takes a (K, n) batch
+ANGLE_ENTRIES = {
+    "bmz_minimize": (lambda t: bmz_minimize(K3, t), False),
+    "procedure_cut": (lambda t: procedure_cut(K3, t), False),
+    "cost": (lambda t: cost(K3, t), True),
+    "cost_gradient": (lambda t: cost_gradient(K3, t), False),
+    "cost_hessian": (lambda t: cost_hessian(K3, t), False),
+    "log_psi": (lambda t: log_psi(P3, t), False),
+    "log_derivatives": (lambda t: log_derivatives(P3, t), True),
+}
+
+
+@pytest.mark.parametrize("entry", ANGLE_ENTRIES.values(), ids=ANGLE_ENTRIES.keys())
+def test_angle_shape_checked_once_where_it_enters(entry):
+    call, batched = entry
+    need = r"\(3,\) or \(K, 3\)" if batched else r"\(3,\)"
+    bad = [np.zeros(4), np.zeros(()), np.zeros((2, 4)), np.zeros((2, 2, 3))]
+    if not batched:
+        bad.append(np.zeros((2, 3)))  # a batch where one configuration is needed
+    for theta in bad:
+        message = rf"^rotor angles must have shape {need}, got {re.escape(str(theta.shape))}$"
+        with pytest.raises(ValueError, match=message) as info:
+            call(theta)
+        # the one shape check in the package raised it
+        assert info.traceback[-1].name == "_angles"
+    if batched:
+        thetas = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (5, 3))
+        out = call(thetas)
+        assert len(out) == 5
+        for row, theta in zip(out, thetas):
+            np.testing.assert_array_equal(row, call(theta))

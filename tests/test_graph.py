@@ -15,7 +15,9 @@ from rotorcut import (
     parse_edge_list,
     serialize_edge_list,
 )
-from oracles import enumerate_max_cut, former_parse_edge_list, loop_generated_edges
+from oracles import (
+    enumerate_max_cut, former_parse_edge_list, former_symmetric, loop_generated_edges,
+)
 
 K3_TEXT = "3 3\n1 2 1.0\n2 3 1.0\n1 3 1.0\n"
 
@@ -389,3 +391,70 @@ def test_hessian_slots():
         np.testing.assert_array_equal(ends, [ii[k], jj[k]])
         np.testing.assert_array_equal(np.bincount(k, minlength=g.m), np.full(g.m, 2))
         assert g._hessian_slots is slots
+
+
+def test_csr_layout_matches_former_coo_build():
+    # adjacency (data, indices, indptr and their dtypes) and the Hessian
+    # slots, built from one sort, equal the former COO to CSR conversion:
+    # on generated graphs, the bmz-sparse shapes among them, and on graphs
+    # built by hand from shuffled or reversed triples with either endpoint
+    # first, with isolated vertices, and with no edges
+    rng = np.random.default_rng(17)
+    cases = [generate_graph(800, 19176, "unit", 0), generate_graph(2000, 8000, "unit", 0)]
+    for seed in range(30):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(0, n * (n - 1) // 2 + 1))
+        cases.append(generate_graph(n, m, "unit" if seed % 2 else (-2.0, 3.0), seed))
+    triples = list(generate_graph(30, 120, (-2.0, 3.0), 4).edges)
+    shuffled = [triples[k] for k in rng.permutation(len(triples))]
+    flipped = [(j, i, w) if k % 2 else (i, j, w) for k, (i, j, w) in enumerate(shuffled)]
+    cases += [
+        Graph(30, shuffled), Graph(30, flipped), Graph(30, flipped[::-1]),
+        Graph(30, triples[::-1]),
+        Graph(12, [(10, 3, 1.0), (3, 0, 2.0), (7, 5, -1.0)]),
+        Graph(2, []), Graph(7, []),
+    ]
+    for g in cases:
+        want = former_symmetric(g, g.edge_arrays[2], np.zeros(g.n))
+        for field in ("data", "indices", "indptr"):
+            got, ref = getattr(g.adjacency, field), getattr(want, field)
+            assert got.dtype == ref.dtype, field
+            np.testing.assert_array_equal(got, ref)
+        k = np.arange(g.m + g.n, dtype=np.intp)
+        slots = former_symmetric(g, k[:g.m], k[g.m:]).data
+        assert g._hessian_slots.dtype == slots.dtype
+        np.testing.assert_array_equal(g._hessian_slots, slots)
+
+
+# the largest vertex count whose pair keys i * n + j fit in int64
+MAX_VERTICES = 3_037_000_499
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        # two distinct pairs whose int64 keys wrapped to one
+        (lambda: Graph(2**62, [(0, 5, 1.0), (4, 5, 1.0)]), "vertex count"),
+        (lambda: Graph(2**64, []), "vertex count"),
+        (lambda: parse_edge_list("99999999999999999999 0\n"), "vertex count"),
+        # pairs drawn by the generator itself wrapped out of range
+        (lambda: generate_graph(2**32, 5, "unit", 0), "n"),
+        (lambda: Graph(MAX_VERTICES + 1, []), "vertex count"),
+    ],
+    ids=["false-duplicate", "graph-2**64", "parse-header", "generate-2**32", "max+1"],
+)
+def test_vertex_count_beyond_int64_pair_keys(call, name):
+    with pytest.raises(GraphFormatError, match=rf"^{name} must be <= {MAX_VERTICES}, got \d+$"):
+        call()
+
+
+def test_largest_vertex_count():
+    n = MAX_VERTICES
+    assert n * n < 2**63 <= (n + 1) ** 2
+    g = Graph(n, [(0, 5, 1.0), (4, 5, 1.0), (n - 2, n - 1, 2.0)])
+    assert g.edges == ((0, 5, 1.0), (4, 5, 1.0), (n - 2, n - 1, 2.0))
+    with pytest.raises(GraphFormatError, match=r"duplicate edge at edges\[1\]"):
+        Graph(n, [(n - 1, n - 2, 1.0), (n - 2, n - 1, 1.0)])
+    assert parse_edge_list(f"{n} 1\n1 {n} 1.0\n").edges == ((0, n - 1, 1.0),)
+    drawn = generate_graph(n, 5, "unit", 0)
+    assert drawn.m == 5 and all(0 <= i < j < n for i, j, _ in drawn.edges)
