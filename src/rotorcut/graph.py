@@ -128,7 +128,7 @@ class Graph:
 
     def _store(self, n, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> None:
         """Check the vertex count and the edges, as the class docstring says,
-        and keep them, the edges as read-only arrays with lo < hi."""
+        and keep the edges as read-only arrays with lo < hi."""
         n = _integer("vertex count", n, 2, GraphFormatError, _MAX_VERTICES)
         lo, hi = np.minimum(ii, jj, dtype=np.intp), np.maximum(ii, jj, dtype=np.intp)
         repeated = np.ones(len(ww), dtype=bool)
