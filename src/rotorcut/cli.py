@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .experiments import (
@@ -50,28 +51,16 @@ def cmd_bruteforce(args) -> int:
     return 0
 
 
+def _settings(cls, args) -> dict:
+    """The fields of dataclass cls that args holds: each flag's dest is the
+    name of the setting it sets, and an absent flag is absent from args."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _spec_from_args(args) -> ExperimentSpec:
-    vmc = VmcConfig(
-        n_samp=args.n_samp,
-        n_warm=args.n_warm,
-        n_iter=args.n_iter,
-        lambda_reg=args.lambda_reg,
-        learning_rate=args.learning_rate,
-        proposal_step=args.step,
-    )
-    return ExperimentSpec(
-        graph=_load_graph(args.graph),
-        solver=args.solver,
-        seeds=args.seeds,
-        vmc=vmc,
-        init=args.init,
-        alpha=args.alpha,
-        r=args.r,
-        sigma=args.sigma,
-        label=args.label,
-        out_dir=args.out,
-        workers=args.workers,
-    )
+    settings = _settings(ExperimentSpec, args)
+    settings["graph"] = _load_graph(args.graph)
+    return ExperimentSpec(vmc=VmcConfig(**_settings(VmcConfig, args)), **settings)
 
 
 def _print_stats(stats) -> None:
@@ -101,28 +90,24 @@ def cmd_sweep(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    # every default is the config field's own, so it is written once
-    spec, vmc = ExperimentSpec, VmcConfig
+    # no defaults: the subparser drops an absent flag, so its field keeps its own
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--solver", choices=SOLVERS, default=spec.solver)
-    p.add_argument("--seeds", type=_parse_seeds, default=spec.seeds,
-                   help="comma-separated seed list")
-    p.add_argument("--n-samp", type=int, default=vmc.n_samp)
-    p.add_argument("--n-warm", type=int, default=vmc.n_warm)
-    p.add_argument("--n-iter", type=int, default=vmc.n_iter)
-    p.add_argument("--lambda-reg", type=float, default=vmc.lambda_reg)
-    p.add_argument("--learning-rate", type=float, default=vmc.learning_rate)
-    p.add_argument("--alpha", type=float, default=spec.alpha)
-    p.add_argument("--step", type=float, default=vmc.proposal_step,
+    p.add_argument("--solver", choices=SOLVERS)
+    p.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list")
+    p.add_argument("--n-samp", type=int)
+    p.add_argument("--n-warm", type=int)
+    p.add_argument("--n-iter", type=int)
+    p.add_argument("--lambda-reg", type=float)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--step", dest="proposal_step", type=float,
                    help="Metropolis proposal half-width (radians)")
-    p.add_argument("--init", choices=INIT_MODES, default=spec.init)
-    p.add_argument("--r", type=float, default=spec.r,
-                   help="visible-bias radius for pretrained init")
-    p.add_argument("--sigma", type=float, default=spec.sigma,
-                   help="stddev of random parameter init")
-    p.add_argument("--workers", type=int, default=spec.workers)
-    p.add_argument("--label", default=spec.label)
-    p.add_argument("--out", default=spec.out_dir, help="artifact directory")
+    p.add_argument("--init", choices=INIT_MODES)
+    p.add_argument("--r", type=float, help="visible-bias radius for pretrained init")
+    p.add_argument("--sigma", type=float, help="stddev of random parameter init")
+    p.add_argument("--workers", type=int)
+    p.add_argument("--label")
+    p.add_argument("--out", dest="out_dir", help="artifact directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,11 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file")
     p.set_defaults(func=cmd_bruteforce)
 
-    p = sub.add_parser("run", help="multi-seed solver run with statistics")
+    p = sub.add_parser("run", help="multi-seed solver run with statistics",
+                       argument_default=argparse.SUPPRESS)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="parameter sweep (one axis) over seeds")
+    p = sub.add_parser("sweep", help="parameter sweep (one axis) over seeds",
+                       argument_default=argparse.SUPPRESS)
     _add_solver_flags(p)
     p.add_argument("--axis", choices=tuple(SWEEP_AXES), required=True)
     p.add_argument("--values", required=True,

@@ -14,6 +14,7 @@ import json
 import operator
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -80,14 +81,6 @@ class ExperimentSpec:
             raise ValueError(f"vmc must be a VmcConfig, got {type(self.vmc).__name__}")
         if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
             raise ValueError(f"out_dir must be None, a str or a path, got {self.out_dir!r}")
-        if self.out_dir is not None:
-            # made after the last seed runs, so no existing part may be a file
-            out = Path(self.out_dir)
-            first = next((p for p in (out, *out.parents) if p.exists()), None)
-            if first is not None and not first.is_dir():
-                raise ValueError(
-                    f"out_dir {str(out)!r} cannot be a directory: {str(first)!r} is a file"
-                )
         # the label starts the artifact file names inside out_dir
         label = self.label
         if (not isinstance(label, str) or label in ("", ".", "..")
@@ -178,36 +171,49 @@ def aggregate(rows: list[SeedResult]) -> SeedStats:
     )
 
 
+def _make_out_dir(spec: ExperimentSpec) -> Optional[Path]:
+    """spec.out_dir, made (with its parents) before the first seed runs, so
+    the OS rejects a bad directory up front; None when artifacts are off."""
+    if spec.out_dir is None:
+        return None
+    out = Path(spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def run_experiment(spec: ExperimentSpec) -> dict[str, SeedStats]:
     """Run every seed (optionally in parallel) and aggregate per solver.
 
-    When spec.out_dir is set, writes per-seed NQS trace CSVs, a stats CSV,
-    and a JSON summary under it.
+    When spec.out_dir is set, it is made before the first seed runs; each
+    seed's NQS trace CSV is written as soon as that seed finishes, so a
+    failing seed keeps the traces of the seeds before it, and a stats CSV
+    and a JSON summary follow the last seed.
     """
-    if spec.workers == 1:
-        results = [run_seed(spec, seed) for seed in spec.seeds]
-    else:
-        # imported here, so that `import rotorcut` does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    out = _make_out_dir(spec)
+    rows: list[SeedResult] = []
+    with ExitStack() as stack:
+        if spec.workers == 1:
+            results = map(run_seed, repeat(spec), spec.seeds)
+        else:
+            # imported here, so that `import rotorcut` does not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(run_seed, repeat(spec), spec.seeds))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=spec.workers))
+            results = pool.map(run_seed, repeat(spec), spec.seeds)
+        for seed_rows in results:  # in seed order, each as it comes back
+            rows += seed_rows
+            for row in seed_rows:
+                if out is not None and row.trace is not None:
+                    write_trace_csv(
+                        row.trace, out / f"trace_{row.solver}_seed{row.seed}.csv"
+                    )
 
-    rows = [row for worker_rows in results for row in worker_rows]
     stats = {
         solver: aggregate([r for r in rows if r.solver == solver])
         for solver in ("bmz", "nqs")
         if any(r.solver == solver for r in rows)
     }
-
-    if spec.out_dir is not None:
-        out = Path(spec.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for row in rows:
-            if row.trace is not None:
-                write_trace_csv(
-                    row.trace, out / f"trace_{row.solver}_seed{row.seed}.csv"
-                )
+    if out is not None:
         write_stats_csv(rows, out / f"{spec.label}_stats.csv")
         _write_summary_json(spec, stats, out / f"{spec.label}_summary.json")
     return stats
@@ -223,7 +229,8 @@ def run_sweep(
     converted to the type of the VmcConfig field they set, so strings are
     accepted too; a non-integral value for an integer field is an error,
     not truncated. The table pairs each converted point with its statistics.
-    Writes a min/mean/max table when out_dir is set.
+    When out_dir is set, it is made before the first point runs, and a
+    min/mean/max table is written after the last.
     """
     if spec.solver != "nqs":
         raise ValueError("sweeps are defined for solver='nqs' only")
@@ -233,6 +240,7 @@ def run_sweep(
     points = [_sweep_point(axis, value) for value in values]
     if not points:
         raise ValueError("sweep grid is empty")
+    out = _make_out_dir(spec)
 
     table: list[tuple[object, SeedStats]] = []
     for point in points:
@@ -240,9 +248,7 @@ def run_sweep(
         stats = run_experiment(replace(spec, vmc=cfg, out_dir=None))["nqs"]
         table.append((point if len(point) > 1 else point[0], stats))
 
-    if spec.out_dir is not None:
-        out = Path(spec.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_sweep_csv(axis, table, out / f"{spec.label}_sweep_{axis}.csv")
     return table
 

@@ -194,8 +194,8 @@ def log_derivatives(p: RbmParams, theta) -> np.ndarray:
     # and on P = 2700 their page faults cost more than batching saves
     out = np.empty(lead + (p.n_params,))
     np.matmul(db, v.swapaxes(-1, -2), out=out[..., :mn].reshape(*lead, p.m, p.n))
-    out[..., mn : mn + 2 * p.m] = db.reshape(*lead, -1)
-    out[..., mn + 2 * p.m :] = v.reshape(*lead, -1)
+    out[..., mn : mn + 2 * p.m] = db.reshape(*lead, 2 * p.m)
+    out[..., mn + 2 * p.m :] = v.reshape(*lead, 2 * p.n)
     return out
 
 
@@ -223,13 +223,14 @@ def init_pretrained(
     sigma: float = 0.1,
     seed=None,
 ) -> RbmParams:
-    """Bias the visible units toward a known good rotor configuration.
+    """Bias the visible units toward a known good rotor configuration
+    theta_star, of shape (n,).
 
     c_j = r * (cos t*_j, sin t*_j) concentrates the initial Born density
     near theta_star (independent von-Mises-like marginals for a = 0);
     hidden biases start at zero and couplings at N(0, sigma^2).
     """
-    theta_star = np.asarray(theta_star, dtype=float)
+    theta_star = _angles(theta_star, np.size(theta_star))  # one configuration
     r = _real("r", r, 0.0)
     a = _couplings(theta_star.size, alpha, sigma, seed)
     return RbmParams(a=a, b=np.zeros((a.shape[0], 2)), c=r * visible_vectors(theta_star))

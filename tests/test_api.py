@@ -100,7 +100,7 @@ K3 = complete_graph(3)
 
 # (the setting, a call giving it a wrong-typed value, the error it must
 # raise): each message starts with the setting's name. A spec fails when it
-# is built, so a bad out_dir is caught before any seed runs.
+# is built, so a wrong-typed out_dir is caught before any seed runs.
 BAD_SETTINGS = {
     "VmcConfig-lambda_reg": ("lambda_reg", lambda: VmcConfig(lambda_reg="1e-6"), ValueError),
     "VmcConfig-learning_rate": ("learning_rate", lambda: VmcConfig(learning_rate=None), ValueError),
@@ -174,3 +174,21 @@ def test_angle_shape_checked_once_where_it_enters(entry):
         assert len(out) == 5
         for row, theta in zip(out, thetas):
             np.testing.assert_array_equal(row, call(theta))
+
+
+def test_pretrained_angles_checked_where_they_enter():
+    # theta* is one configuration, so any other shape fails in _angles,
+    # which names the one-dimensional shape of the same size
+    for theta, need in ((np.zeros((2, 3)), r"\(6,\)"), (np.zeros(()), r"\(1,\)")):
+        message = rf"^rotor angles must have shape {need}, got {re.escape(str(theta.shape))}$"
+        with pytest.raises(ValueError, match=message) as info:
+            init_pretrained(theta)
+        assert info.traceback[-1].name == "_angles"
+    assert init_pretrained([0.0, 1.0, 2.0], seed=0).n == 3
+
+
+def test_empty_batch_scores_to_empty_rows():
+    # a (0, n) batch is a batch: cost gives (0,) and log_derivatives (0, P)
+    empty = np.zeros((0, 3))
+    assert cost(K3, empty).shape == (0,)
+    assert log_derivatives(P3, empty).shape == (0, P3.n_params)

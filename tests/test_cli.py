@@ -1,9 +1,11 @@
+import argparse
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
-from rotorcut import brute_force_max_cut, parse_edge_list
-from rotorcut.cli import main
+from rotorcut import ExperimentSpec, VmcConfig, brute_force_max_cut, parse_edge_list
+from rotorcut.cli import build_parser, main
 
 K3_TEXT = "3 3\n1 2 1.0\n2 3 1.0\n1 3 1.0\n"
 
@@ -157,3 +159,49 @@ def test_numerical_failure_is_reported(tmp_path, capsys, monkeypatch):
                  "--n-samp", "10", "--n-iter", "5"])
     assert code == 2
     assert "error: non-finite values in the SR solution" in capsys.readouterr().err
+
+
+def test_bad_out_dir_is_reported_before_any_seed(tmp_path, capsys, monkeypatch):
+    seeds_run = []
+    monkeypatch.setattr("rotorcut.experiments.run_seed",
+                        lambda spec, seed: seeds_run.append(seed) or [])
+    path = tmp_path / "k3.txt"
+    path.write_text(K3_TEXT)
+    for out in (path, path / "sub"):
+        for command in (["run"], ["sweep", "--axis", "n_iter", "--values", "5"]):
+            assert main([*command, str(path), "--out", str(out)]) == 2
+            assert "error:" in capsys.readouterr().err
+    assert seeds_run == []
+
+
+def test_every_solver_flag_sets_the_field_it_names():
+    # _spec_from_args builds the configs by field name, so a flag whose dest
+    # is not a field name would be dropped silently
+    names = {f.name for cls in (VmcConfig, ExperimentSpec) for f in fields(cls)}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for parser in (sub.choices["run"], sub.choices["sweep"]):
+        options = [a for a in parser._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        dests = {a.dest for a in options} - {"axis", "values"}
+        assert len(dests) == 15
+        assert dests <= names, dests - names
+
+
+def test_run_without_flags_takes_the_library_defaults(tmp_path, monkeypatch):
+    specs = []
+    monkeypatch.setattr("rotorcut.experiments.run_seed",
+                        lambda spec, seed: specs.append(spec) or [])
+    path = tmp_path / "k3.txt"
+    path.write_text(K3_TEXT)
+    art = tmp_path / "art"
+    assert main(["run", str(path), "--out", str(art)]) == 0
+    default = ExperimentSpec(graph=parse_edge_list(K3_TEXT), out_dir=str(art))
+    assert specs == [default] * 10
+    summary = json.loads((art / "experiment_summary.json").read_text())
+    assert summary["seeds"] == list(range(10))
+    vmc = asdict(VmcConfig())
+    del vmc["seed"]
+    assert summary["vmc_config"] == vmc
+    for key in ("label", "solver", "init", "alpha", "r", "sigma"):
+        assert summary[key] == getattr(default, key), key

@@ -11,6 +11,7 @@ from rotorcut import (
     run_experiment,
     run_sweep,
 )
+from rotorcut import experiments
 from rotorcut.experiments import SeedResult, aggregate, run_seed
 
 FAST = VmcConfig(n_samp=10, n_iter=15)
@@ -51,21 +52,55 @@ def test_spec_validation(k3):
 
 
 def test_spec_rejects_unwritable_artifact_names(k3, tmp_path):
-    # the artifacts are written after the last seed, so a name that cannot
-    # be written fails when the spec is built, before any seed runs
+    # the label starts every artifact's file name, so a label that is not a
+    # file name fails when the spec is built, before any seed runs
     out = tmp_path / "out"
     for bad in ("a/b", "", ".", "..", "a\0b", 3, None):
         with pytest.raises(ValueError, match=r"^label must be a file name"):
             ExperimentSpec(graph=k3, solver="bmz", seeds=(0, 1), label=bad, out_dir=out)
+    assert not out.exists()
+    spec = ExperimentSpec(graph=k3, solver="bmz", seeds=(0,), label="a.b-c", out_dir=out / "x")
+    assert spec.label == "a.b-c"
+
+
+def test_bad_out_dir_fails_before_any_seed(k3, tmp_path, monkeypatch):
+    # out_dir is made before the first seed, so the OS rejects a directory
+    # that is, or lies under, a file, and no seed runs
+    seeds_run = []
+    monkeypatch.setattr("rotorcut.experiments.run_seed",
+                        lambda spec, seed: seeds_run.append(seed) or [])
     a_file = tmp_path / "taken.txt"
     a_file.write_text("")
     for bad in (a_file, str(a_file), a_file / "sub"):
-        with pytest.raises(ValueError, match=r"^out_dir .* is a file"):
-            ExperimentSpec(graph=k3, solver="bmz", seeds=(0, 1), out_dir=bad)
-    assert not out.exists()
-    # a directory that does not exist yet is made when the artifacts are written
-    spec = ExperimentSpec(graph=k3, solver="bmz", seeds=(0,), label="a.b-c", out_dir=out / "x")
-    assert spec.label == "a.b-c"
+        spec = ExperimentSpec(graph=k3, seeds=(0, 1), vmc=FAST, out_dir=bad)
+        with pytest.raises(OSError):
+            run_experiment(spec)
+        with pytest.raises(OSError):
+            run_sweep(spec, "n_iter", [5])
+    assert seeds_run == []
+    # a directory that does not exist yet is made, with its parents
+    run_experiment(ExperimentSpec(graph=k3, seeds=(0,), out_dir=tmp_path / "a" / "b"))
+    assert (tmp_path / "a" / "b").is_dir() and seeds_run == [0]
+
+
+def test_failing_seed_keeps_earlier_traces(k3, tmp_path, monkeypatch):
+    # each seed's trace is written when it finishes, so a seed that raises
+    # leaves the traces of the seeds before it, byte for byte
+    base = dict(graph=k3, solver="nqs", seeds=(0, 1, 2), vmc=FAST)
+    run_experiment(ExperimentSpec(out_dir=tmp_path / "clean", **base))
+    real = experiments.run_vmc
+
+    def fail_seed_1(g, cfg, params):
+        if cfg.seed == 1:
+            raise FloatingPointError("seed 1 failed")
+        return real(g, cfg, params)
+
+    monkeypatch.setattr(experiments, "run_vmc", fail_seed_1)
+    with pytest.raises(FloatingPointError, match="seed 1 failed"):
+        run_experiment(ExperimentSpec(out_dir=tmp_path / "cut", **base))
+    name = "trace_nqs_seed0.csv"
+    assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == [name]
 
 
 def test_aggregate_matches_recomputation():
