@@ -63,20 +63,12 @@ def _spec_from_args(args) -> ExperimentSpec:
     return ExperimentSpec(vmc=VmcConfig(**_settings(VmcConfig, args)), **settings)
 
 
-def _print_stats(stats) -> None:
-    for solver in sorted(stats):
-        s = stats[solver]
-        print(f"{solver}: mean={s.mean:.6f} std={s.std:.6f} min={s.min:.6f}")
-        for seed, energy, cut, wall in s.per_seed:
-            print(
-                f"  seed={seed} energy={energy:.6f} cut={cut:g} "
-                f"wall={wall:.2f}s"
-            )
-
-
 def cmd_run(args) -> int:
     stats = run_experiment(_spec_from_args(args))
-    _print_stats(stats)
+    for solver, s in sorted(stats.items()):
+        print(f"{solver}: mean={s.mean:.6f} std={s.std:.6f} min={s.min:.6f}")
+        for seed, energy, cut, wall in s.per_seed:
+            print(f"  seed={seed} energy={energy:.6f} cut={cut:g} wall={wall:.2f}s")
     return 0
 
 
@@ -84,8 +76,7 @@ def cmd_sweep(args) -> int:
     values = [tuple(tok.split(":")) for tok in args.values.split(",")]
     table = run_sweep(_spec_from_args(args), args.axis, values)
     for value, s in table:
-        peak = max(e for _, e, _, _ in s.per_seed)
-        print(f"{value}: min={s.min:.6f} mean={s.mean:.6f} max={peak:.6f}")
+        print(f"{value}: min={s.min:.6f} mean={s.mean:.6f} max={s.max:.6f}")
     return 0
 
 

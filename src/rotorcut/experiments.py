@@ -15,7 +15,7 @@ import operator
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Optional
@@ -25,7 +25,7 @@ import numpy as np
 from .bmz import bmz_minimize, procedure_cut, random_start
 from .graph import Graph, _integer, _real
 from .rbm import init_pretrained, init_random
-from .vmc import RunTrace, VmcConfig, run_vmc, write_trace_csv
+from .vmc import RunTrace, VmcConfig, _write_csv, run_vmc, write_trace_csv
 
 SOLVERS = ("bmz", "nqs", "both")
 INIT_MODES = ("random", "pretrained")
@@ -49,6 +49,11 @@ class SeedStats:
     std: float
     min: float
     per_seed: tuple[tuple[int, float, float, float], ...]
+
+    @property
+    def max(self) -> float:
+        """Largest per-seed energy."""
+        return float(max(energy for _, energy, _, _ in self.per_seed))
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,8 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, SeedStats]:
     When spec.out_dir is set, it is made before the first seed runs; each
     seed's NQS trace CSV is written as soon as that seed finishes, so a
     failing seed keeps the traces of the seeds before it, and a stats CSV
-    and a JSON summary follow the last seed.
+    and a JSON summary follow the last seed. A worker process that dies
+    raises ChildProcessError.
     """
     out = _make_out_dir(spec)
     rows: list[SeedResult] = []
@@ -199,7 +205,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, SeedStats]:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=spec.workers))
-            results = pool.map(run_seed, repeat(spec), spec.seeds)
+            results = _pool_results(pool.map(run_seed, repeat(spec), spec.seeds), spec.seeds)
         for seed_rows in results:  # in seed order, each as it comes back
             rows += seed_rows
             for row in seed_rows:
@@ -217,6 +223,21 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, SeedStats]:
         write_stats_csv(rows, out / f"{spec.label}_stats.csv")
         _write_summary_json(spec, stats, out / f"{spec.label}_summary.json")
     return stats
+
+
+def _pool_results(results, seeds):
+    """A pool's results for seeds; a dead worker process (BrokenExecutor) is
+    re-raised as a ChildProcessError naming the first seed left without one."""
+    from concurrent.futures import BrokenExecutor
+
+    for seed in seeds:
+        try:
+            seed_rows = next(results)
+        except BrokenExecutor as exc:
+            raise ChildProcessError(
+                f"a worker process died before seed {seed} returned its result"
+            ) from exc
+        yield seed_rows
 
 
 def run_sweep(
@@ -277,58 +298,35 @@ def _sweep_point(axis: str, value) -> tuple:
 
 
 def write_stats_csv(rows: list[SeedResult], path) -> None:
-    """Per-seed table, sorted by (solver, seed); floats via repr.
+    """Per-seed table, sorted by (solver, seed).
 
     The wall_time_s column is the only non-deterministic field; strip it
     when comparing bodies across runs.
     """
-    lines = ["solver,seed,energy,cut_value,wall_time_s"]
-    for r in sorted(rows, key=lambda r: (r.solver, r.seed)):
-        lines.append(
-            f"{r.solver},{r.seed},{float(r.energy)!r},{float(r.cut_value)!r},"
-            f"{float(r.wall_time_s)!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ("solver", "seed", "energy", "cut_value", "wall_time_s")
+    rows = sorted(rows, key=lambda r: (r.solver, r.seed))
+    _write_csv(path, header, ([getattr(r, name) for name in header] for r in rows))
 
 
 def write_sweep_csv(axis: str, table, path) -> None:
     """min/mean/max of per-seed best energies at each grid point of
     run_sweep's table, one column per field of the axis."""
-    lines = [",".join(SWEEP_AXES[axis]) + ",min,mean,max"]
-    for value, stats in table:
-        point = value if isinstance(value, tuple) else (value,)
-        head = ",".join(repr(v) for v in point)
-        peak = float(max(e for _, e, _, _ in stats.per_seed))
-        lines.append(f"{head},{float(stats.min)!r},{float(stats.mean)!r},{peak!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        (*(value if isinstance(value, tuple) else (value,)), s.min, s.mean, s.max)
+        for value, s in table
+    )
+    _write_csv(path, SWEEP_AXES[axis] + ("min", "mean", "max"), rows)
 
 
 def _write_summary_json(
     spec: ExperimentSpec, stats: dict[str, SeedStats], path
 ) -> None:
-    payload = {
-        "label": spec.label,
-        "graph": {
-            "n": spec.graph.n,
-            "m": spec.graph.m,
-            "total_weight": spec.graph.total_weight,
-        },
-        "solver": spec.solver,
-        "init": spec.init,
-        "alpha": spec.alpha,
-        "r": spec.r,
-        "sigma": spec.sigma,
-        "seeds": list(spec.seeds),
-        # each run's chain seeds from its entry of "seeds", not from vmc.seed
-        "vmc_config": {k: v for k, v in asdict(spec.vmc).items() if k != "seed"},
-        "stats": {
-            solver: {
-                "mean": s.mean,
-                "std": s.std,
-                "min": s.min,
-                "per_seed": [list(row) for row in s.per_seed],
-            }
-            for solver, s in stats.items()
-        },
-    }
+    # every setting by name; graph and vmc in a form of their own below, and
+    # not where the artifacts go or how many processes ran the seeds
+    own = ("graph", "vmc", "out_dir", "workers")
+    payload = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name not in own}
+    payload["graph"] = {name: getattr(spec.graph, name) for name in ("n", "m", "total_weight")}
+    # each run's chain seeds from its entry of "seeds", not from vmc.seed
+    payload["vmc_config"] = {k: v for k, v in asdict(spec.vmc).items() if k != "seed"}
+    payload["stats"] = {solver: asdict(s) for solver, s in stats.items()}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -28,6 +28,7 @@ _BRUTE_FORCE_CHUNK = 1 << 16
 
 # the largest n with n * n < 2**63, so a pair i < j keyed as i * n + j fits
 _MAX_VERTICES = math.isqrt(2**63 - 1)
+_FLOAT = np.dtype(float)
 
 WeightMode = Union[str, tuple]
 
@@ -65,8 +66,13 @@ def _real(name: str, value, minimum: float, strict: bool = False, error=ValueErr
 
 def _angles(theta, n: int, batch: bool = False) -> np.ndarray:
     """theta as a float array of shape (n,), or with batch also (K, n);
-    otherwise raises ValueError naming the shape it got and the one it needs."""
-    theta = np.asarray(theta, dtype=float)
+    otherwise raises ValueError naming the shape it got and the one it needs,
+    or naming its dtype unless integer or float: complex is not converted."""
+    theta = np.asarray(theta)
+    if theta.dtype is not _FLOAT:  # identity, not equality: this is the sampling hot path
+        if theta.dtype.kind not in "iuf":
+            raise ValueError(f"rotor angles must be real numbers, got dtype {theta.dtype}")
+        theta = theta.astype(float)
     if theta.shape != (n,) and not (batch and theta.ndim == 2 and theta.shape[1] == n):
         need = f"({n},) or (K, {n})" if batch else f"({n},)"
         raise ValueError(f"rotor angles must have shape {need}, got {theta.shape}")

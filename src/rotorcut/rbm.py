@@ -231,6 +231,8 @@ def init_pretrained(
     hidden biases start at zero and couplings at N(0, sigma^2).
     """
     theta_star = _angles(theta_star, np.size(theta_star))  # one configuration
+    if not np.all(np.isfinite(theta_star)):
+        raise ValueError("rotor angles must be finite")
     r = _real("r", r, 0.0)
     a = _couplings(theta_star.size, alpha, sigma, seed)
     return RbmParams(a=a, b=np.zeros((a.shape[0], 2)), c=r * visible_vectors(theta_star))

@@ -384,17 +384,19 @@ def run_vmc(g: Graph, cfg: VmcConfig, init: RbmParams) -> RunTrace:
     )
 
 
-def write_trace_csv(trace: RunTrace, path) -> None:
-    """Per-iteration CSV: iteration, e_mean, accept_rate, residual.
-
-    Floats are written with repr so identical runs produce identical bytes.
-    """
-    lines = ["iteration,e_mean,accept_rate,residual"]
-    for it in range(trace.e_mean.size):
-        lines.append(
-            f"{it + 1},{float(trace.e_mean[it])!r},{float(trace.accept_rate[it])!r},"
-            f"{float(trace.residual[it])!r}"
-        )
+def _write_csv(path, header, rows) -> None:
+    """Header and rows as CSV lines ending in a newline. A float cell is
+    written as repr(float(v)), so identical runs write identical bytes and a
+    numpy scalar reads as a number; any other cell as str(v)."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for row in (header, *rows):
+            cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                     for v in row)
+            fh.write(",".join(cells) + "\n")
 
+
+def write_trace_csv(trace: RunTrace, path) -> None:
+    """Per-iteration CSV: iteration, then these arrays of trace."""
+    columns = ("e_mean", "accept_rate", "residual")
+    rows = zip(range(1, trace.e_mean.size + 1), *(getattr(trace, c).tolist() for c in columns))
+    _write_csv(path, ("iteration",) + columns, rows)

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,29 @@ def test_angle_shape_checked_once_where_it_enters(entry):
         assert len(out) == 5
         for row, theta in zip(out, thetas):
             np.testing.assert_array_equal(row, call(theta))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [*ANGLE_ENTRIES.values(), (lambda t: init_pretrained(t, seed=0), False)],
+    ids=[*ANGLE_ENTRIES.keys(), "init_pretrained"],
+)
+def test_angle_dtype_checked_once_where_it_enters(entry):
+    # only integer and float arrays are angles: a complex array is not
+    # cast to its real part, nor strings parsed as numbers
+    call, _ = entry
+    bad = [np.full(3, 1j), ["0.5"] * 3, np.ones(3, dtype=bool),
+           np.array([0.5, None, 1.0], dtype=object)]
+    for theta in bad:
+        dtype = np.asarray(theta).dtype
+        message = rf"^rotor angles must be real numbers, got dtype {dtype}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message) as info:
+                call(theta)
+        assert info.traceback[-1].name == "_angles"
+    for theta in (np.arange(3), np.arange(3, dtype=np.uint8), np.arange(3, dtype=np.float32)):
+        call(theta)
 
 
 def test_pretrained_angles_checked_where_they_enter():

@@ -1,9 +1,13 @@
 import argparse
 import json
+import multiprocessing
+import os
+import time
 from dataclasses import asdict, fields
 
 import pytest
 
+from rotorcut import experiments
 from rotorcut import ExperimentSpec, VmcConfig, brute_force_max_cut, parse_edge_list
 from rotorcut.cli import build_parser, main
 
@@ -172,6 +176,35 @@ def test_bad_out_dir_is_reported_before_any_seed(tmp_path, capsys, monkeypatch):
             assert main([*command, str(path), "--out", str(out)]) == 2
             assert "error:" in capsys.readouterr().err
     assert seeds_run == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_vmc reaches the workers only by fork")
+def test_crashed_worker_is_reported(tmp_path, capsys, monkeypatch):
+    # a worker process that dies breaks the pool; the campaign ends in an
+    # OSError naming the first seed without a result, which main reports
+    path = tmp_path / "k3.txt"
+    path.write_text(K3_TEXT)
+    out = tmp_path / "out"
+    kept = out / "trace_nqs_seed0.csv"
+    real = experiments.run_vmc
+
+    def die_on_seed_1(g, cfg, params):
+        if cfg.seed == 1:
+            deadline = time.monotonic() + 60.0
+            while not kept.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)  # so that seed 0 finishes first
+            os._exit(1)
+        return real(g, cfg, params)
+
+    monkeypatch.setattr(experiments, "run_vmc", die_on_seed_1)
+    code = main(["run", str(path), "--seeds", "0,1,2", "--workers", "2",
+                 "--n-iter", "5", "--n-samp", "10", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed 1 " in err
+    assert [p.name for p in out.iterdir()] == [kept.name]
+    assert len(kept.read_text().splitlines()) == 6
 
 
 def test_every_solver_flag_sets_the_field_it_names():

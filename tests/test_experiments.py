@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from rotorcut import (
     run_sweep,
 )
 from rotorcut import experiments
-from rotorcut.experiments import SeedResult, aggregate, run_seed
+from rotorcut.experiments import (
+    SeedResult, aggregate, run_seed, write_stats_csv, write_sweep_csv,
+)
+from rotorcut.rbm import init_random
+from rotorcut.vmc import RunTrace, write_trace_csv
 
 FAST = VmcConfig(n_samp=10, n_iter=15)
 
@@ -101,6 +107,55 @@ def test_failing_seed_keeps_earlier_traces(k3, tmp_path, monkeypatch):
     name = "trace_nqs_seed0.csv"
     assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
     assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == [name]
+
+
+def test_csv_cells_parse_back_to_the_written_floats(tmp_path):
+    # every CSV artifact goes through one writer: a float cell, numpy scalar
+    # or not, is repr(float(v)); ints and solver names print bare
+    values = np.array([0.1, 1 / 3, 5e-324, -0.0, 1e300])
+    trace = RunTrace(
+        e_mean=values, accept_rate=values[::-1].copy(), residual=-values,
+        min_e_loc=values, final_params=init_random(2, seed=0), best_theta=np.zeros(2),
+        best_energy=values[1], best_cut_value=values[0], best_cut_assignment=np.ones(2),
+        config=FAST, wall_time_s=values[2],
+    )
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    rows = [SeedResult("nqs", np.int64(s), e, c, w)
+            for s, e, c, w in zip(range(3), values, values[1:], values[2:])]
+    write_stats_csv(rows, tmp_path / "stats.csv")
+    stats = aggregate(rows)
+    assert stats.max == max(e for _, e, _, _ in stats.per_seed) == values[:3].max()
+    table = [((20, 4), stats), ((10, 0), replace(stats, mean=values[3], min=values[4]))]
+    write_sweep_csv("samp_warm", table, tmp_path / "sweep.csv")
+
+    def parsed(name):
+        text = (tmp_path / name).read_text()
+        assert "np.float64(" not in text and text.endswith("\n")
+        return [line.split(",") for line in text.splitlines()]
+
+    def same_float(cell, value):
+        x = float(cell)
+        return x == value and math.copysign(1.0, x) == math.copysign(1.0, value)
+
+    lines = parsed("trace.csv")
+    assert len(lines) == 1 + values.size
+    assert lines[0] == ["iteration", "e_mean", "accept_rate", "residual"]
+    for k, (it, *cells) in enumerate(lines[1:]):
+        assert it == str(k + 1)
+        expected = (trace.e_mean[k], trace.accept_rate[k], trace.residual[k])
+        assert all(map(same_float, cells, expected))
+    lines = parsed("stats.csv")
+    assert len(lines) == 1 + len(rows)
+    assert lines[0] == ["solver", "seed", "energy", "cut_value", "wall_time_s"]
+    for row, (solver, seed, *cells) in zip(rows, lines[1:]):
+        assert (solver, seed) == ("nqs", str(row.seed))
+        assert all(map(same_float, cells, (row.energy, row.cut_value, row.wall_time_s)))
+    lines = parsed("sweep.csv")
+    assert len(lines) == 1 + len(table)
+    assert lines[0] == ["n_samp", "n_warm", "min", "mean", "max"]
+    for ((n_samp, n_warm), s), (samp, warm, *cells) in zip(table, lines[1:]):
+        assert (samp, warm) == (str(n_samp), str(n_warm))
+        assert all(map(same_float, cells, (s.min, s.mean, s.max)))
 
 
 def test_aggregate_matches_recomputation():

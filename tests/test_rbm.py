@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,16 @@ def test_init_pretrained():
     for bad in (-1.0, np.nan):
         with pytest.raises(ValueError, match="r must"):
             init_pretrained(theta_star, r=bad)
+
+
+def test_pretrained_rejects_non_finite_angles():
+    # the same message as log_psi and BMZ give, raised before any arithmetic
+    # on theta*, so nothing warns first
+    for bad in (np.nan, np.inf, -np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^rotor angles must be finite$"):
+                init_pretrained([0.3, bad, 5.5], seed=0)
 
 
 def test_pretrained_density_concentrates():
