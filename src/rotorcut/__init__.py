@@ -22,10 +22,8 @@ from .rbm import (
     RbmParams,
     init_pretrained,
     init_random,
-    load_params,
     log_derivatives,
     log_psi,
-    save_params,
 )
 from .vmc import RunTrace, VmcConfig, run_vmc, write_trace_csv
 
@@ -46,7 +44,6 @@ __all__ = [
     "generate_graph",
     "init_pretrained",
     "init_random",
-    "load_params",
     "log_derivatives",
     "log_psi",
     "parse_edge_list",
@@ -55,7 +52,6 @@ __all__ = [
     "run_experiment",
     "run_sweep",
     "run_vmc",
-    "save_params",
     "serialize_edge_list",
     "wrap_angles",
     "write_trace_csv",

@@ -64,6 +64,19 @@ def _real(name: str, value, minimum: float, strict: bool = False, error=ValueErr
     return x
 
 
+def _real_array(what: str, x) -> np.ndarray:
+    """x as a float array, if its dtype is integer or float; otherwise raises
+    ValueError naming what and the dtype: complex, bool, string and object
+    arrays are refused, not converted. _angles inlines the same test, as
+    log psi calls it on every Metropolis step."""
+    x = np.asarray(x)
+    if x.dtype is not _FLOAT:  # identity, not equality: unpack runs every SR iteration
+        if x.dtype.kind not in "iuf":
+            raise ValueError(f"{what} must be real numbers, got dtype {x.dtype}")
+        x = x.astype(float)
+    return x
+
+
 def _angles(theta, n: int, batch: bool = False) -> np.ndarray:
     """theta as a float array of shape (n,), or with batch also (K, n);
     otherwise raises ValueError naming the shape it got and the one it needs,
@@ -330,12 +343,12 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
 
 
 def _check_assignment(g: Graph, x) -> np.ndarray:
-    x = np.asarray(x)
+    x = _real_array("assignment entries", x)
     if x.shape != (g.n,):
         raise ValueError(f"assignment length {x.shape} does not match n={g.n}")
     if not np.all(np.abs(x) == 1):
         raise ValueError("assignment entries must be +1 or -1")
-    return x.astype(float)
+    return x
 
 
 def cut_value(g: Graph, x) -> float:

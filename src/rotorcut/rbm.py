@@ -21,23 +21,15 @@ I1/I0 and drive the stochastic reconfiguration update.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .graph import _angles, _integer, _real
+from .graph import _angles, _integer, _real, _real_array
 from .objective import TWO_PI
 
 _LOG_TWO_PI = np.log(TWO_PI)
-
-# checkpoint header layout: magic, packing version, n, m
-_CHECKPOINT_MAGIC = b"RCUT"
-PACKING_VERSION = 1
 
 
 @functools.cache
@@ -89,10 +81,13 @@ def visible_vectors(theta) -> np.ndarray:
 class RbmParams:
     """Real parameters of the rotor RBM.
 
-    a: (m, n) couplings, b: (m, 2) hidden biases, c: (n, 2) visible biases.
-    Packed order is a (row-major), then b, then c (row-major), giving
-    n_params = n*m + 2*(n + m). Treat instances as immutable; optimization
-    always goes through pack/unpack.
+    a: (m, n) couplings, b: (m, 2) hidden biases, c: (n, 2) visible biases,
+    each finite, of integer or float dtype (stored as float; complex, bool,
+    string and object arrays raise ValueError naming the field and dtype).
+    pack/unpack is the one packed layout: a (row-major), then b, then c
+    (row-major), giving n_params = n*m + 2*(n + m); log_derivatives writes
+    its blocks in the same order. Treat instances as immutable;
+    optimization always goes through pack/unpack.
     """
 
     a: np.ndarray
@@ -100,22 +95,18 @@ class RbmParams:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("a must be a (m, n) matrix")
-        m, n = a.shape
-        if b.shape != (m, 2):
-            raise ValueError(f"b must have shape ({m}, 2), got {b.shape}")
-        if c.shape != (n, 2):
-            raise ValueError(f"c must have shape ({n}, 2), got {c.shape}")
-        for name, arr in (("a", a), ("b", b), ("c", c)):
+        for name in "abc":
+            arr = _real_array(f"RbmParams.{name}", getattr(self, name))
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+            object.__setattr__(self, name, arr)
+        if self.a.ndim != 2:
+            raise ValueError("a must be a (m, n) matrix")
+        m, n = self.a.shape
+        if self.b.shape != (m, 2):
+            raise ValueError(f"b must have shape ({m}, 2), got {self.b.shape}")
+        if self.c.shape != (n, 2):
+            raise ValueError(f"c must have shape ({n}, 2), got {self.c.shape}")
 
     @property
     def m(self) -> int:
@@ -134,7 +125,7 @@ class RbmParams:
 
     @classmethod
     def unpack(cls, vec, n: int, m: int) -> "RbmParams":
-        vec = np.asarray(vec, dtype=float)
+        vec = _real_array("packed parameters", vec)
         expected = n * m + 2 * (n + m)
         if vec.shape != (expected,):
             raise ValueError(
@@ -236,30 +227,3 @@ def init_pretrained(
     r = _real("r", r, 0.0)
     a = _couplings(theta_star.size, alpha, sigma, seed)
     return RbmParams(a=a, b=np.zeros((a.shape[0], 2)), c=r * visible_vectors(theta_star))
-
-
-def save_params(path, p: RbmParams, config: Optional[dict] = None) -> None:
-    """Checkpoint: binary header + packed little-endian doubles, and a JSON
-    sidecar at <path>.json echoing the run configuration."""
-    path = Path(path)
-    header = _CHECKPOINT_MAGIC + struct.pack("<III", PACKING_VERSION, p.n, p.m)
-    payload = p.pack().astype("<f8").tobytes()
-    path.write_bytes(header + payload)
-    sidecar = {"n": p.n, "m": p.m, "packing_version": PACKING_VERSION}
-    if config is not None:
-        sidecar["config"] = config
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def load_params(path) -> RbmParams:
-    raw = Path(path).read_bytes()
-    head = len(_CHECKPOINT_MAGIC) + 12
-    if len(raw) < head or raw[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
-        raise ValueError(f"not a parameter checkpoint: {path}")
-    version, n, m = struct.unpack("<III", raw[len(_CHECKPOINT_MAGIC) : head])
-    if version != PACKING_VERSION:
-        raise ValueError(f"unsupported packing version {version}")
-    vec = np.frombuffer(raw[head:], dtype="<f8")
-    return RbmParams.unpack(np.asarray(vec, dtype=float), n, m)

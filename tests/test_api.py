@@ -37,15 +37,14 @@ PUBLIC = {
     "brute_force_max_cut", "cut_value", "generate_graph", "parse_edge_list",
     "serialize_edge_list",
     "cost", "cost_gradient", "cost_hessian", "wrap_angles",
-    "init_pretrained", "init_random", "load_params", "log_derivatives",
-    "log_psi", "save_params",
+    "init_pretrained", "init_random", "log_derivatives", "log_psi",
     "run_vmc", "write_trace_csv",
 }
 
 
 def test_public_surface_is_pinned():
     # a helper added to __init__.py must be added here on purpose
-    assert len(rotorcut.__all__) == len(PUBLIC) == 29
+    assert len(rotorcut.__all__) == len(PUBLIC) == 27
     assert set(rotorcut.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(rotorcut, name).__module__.startswith("rotorcut."), name

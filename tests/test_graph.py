@@ -273,6 +273,11 @@ def test_cut_value_validates(k3):
         cut_value(k3, np.array([1, 1]))
     with pytest.raises(ValueError):
         cut_value(k3, np.array([1, 0, -1]))
+    # a complex or non-numeric assignment is refused, not cut on its real part
+    for bad in ([1j, -1j, 1], ["1", "-1", "1"], [True, True, True]):
+        with pytest.raises(ValueError, match="^assignment entries must be real numbers, got dtype"):
+            cut_value(k3, bad)
+    assert cut_value(k3, np.array([1, -1, 1], dtype=np.int8)) == cut_value(k3, [1.0, -1.0, 1.0])
 
 
 def test_brute_force_matches_enumeration():

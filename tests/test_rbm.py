@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -8,12 +7,10 @@ from rotorcut import (
     RbmParams,
     init_pretrained,
     init_random,
-    load_params,
     log_derivatives,
     log_psi,
-    save_params,
 )
-from rotorcut.rbm import PACKING_VERSION, _fields, _log_i0, _ratio, visible_vectors
+from rotorcut.rbm import _fields, _log_i0, _ratio, visible_vectors
 from oracles import former_log_psi, mp_bessel_ratio, mp_log_i0, quadrature_log_psi
 
 
@@ -108,6 +105,22 @@ def test_params_shape_validation():
         RbmParams(
             a=np.full((2, 3), np.nan), b=np.zeros((2, 2)), c=np.zeros((3, 2))
         )
+    # a field of any dtype but integer or float is refused, not cast
+    fields = {"a": np.zeros((1, 2)), "b": np.zeros((1, 2)), "c": np.zeros((2, 2))}
+    for name, bad in (
+        ("a", np.array([[1 + 2j, 0.5]])),
+        ("b", np.array([["0.1", "0.2"]])),
+        ("c", np.ones((2, 2), dtype=bool)),
+        ("a", np.array([[0.1, 0.2]], dtype=object)),
+    ):
+        with pytest.raises(ValueError, match=f"^RbmParams.{name} .*dtype {bad.dtype}$"):
+            RbmParams(**{**fields, name: bad})
+    with pytest.raises(ValueError, match="dtype complex128$"):
+        RbmParams.unpack(np.arange(8) * (1 + 1j), 2, 1)
+    # integer and float32 fields are stored as float64
+    p = RbmParams(a=np.ones((1, 2), int), b=np.zeros((1, 2), np.float32), c=[[0, 1], [2, 3]])
+    assert all(arr.dtype == np.float64 for arr in (p.a, p.b, p.c))
+    np.testing.assert_array_equal(RbmParams.unpack(np.arange(8), 2, 1).pack(), np.arange(8.0))
 
 
 def test_hidden_fields_formula():
@@ -263,29 +276,12 @@ def test_pretrained_density_concentrates():
     assert log_psi(p, theta_star) > log_psi(p, far) + 1.0
 
 
-def test_save_load_round_trip(tmp_path):
+def test_npz_round_trip(tmp_path):
+    # np.savez of the three arrays is the way to keep parameters
     p = random_params(4, 2, seed=5)
-    path = tmp_path / "params.bin"
-    save_params(path, p, config={"n_iter": 10})
-    q = load_params(path)
+    path = tmp_path / "params.npz"
+    np.savez(path, a=p.a, b=p.b, c=p.c)
+    with np.load(path) as saved:
+        q = RbmParams(**saved)
+    assert (q.n, q.m) == (4, 2)
     np.testing.assert_array_equal(p.pack(), q.pack())
-    sidecar = json.loads((tmp_path / "params.bin.json").read_text())
-    assert sidecar["n"] == 4 and sidecar["m"] == 2
-    assert sidecar["config"] == {"n_iter": 10}
-
-
-def test_load_rejects_corruption(tmp_path):
-    p = random_params(2, 2, seed=6)
-    path = tmp_path / "params.bin"
-    save_params(path, p)
-    raw = path.read_bytes()
-    (tmp_path / "bad_magic.bin").write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="checkpoint"):
-        load_params(tmp_path / "bad_magic.bin")
-    (tmp_path / "truncated.bin").write_bytes(raw[:-8])
-    with pytest.raises(ValueError):
-        load_params(tmp_path / "truncated.bin")
-    future = raw[:4] + (PACKING_VERSION + 1).to_bytes(4, "little") + raw[8:]
-    (tmp_path / "future.bin").write_bytes(future)
-    with pytest.raises(ValueError, match="unsupported packing version"):
-        load_params(tmp_path / "future.bin")
