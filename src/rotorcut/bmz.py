@@ -9,7 +9,8 @@ Monteiro & Zhang, SIAM J. Optim. 12(2), 2002) tries every vertex angle as
 a split line, puts a vertex on the line on the +1 side, and keeps the best
 resulting cut (the lowest vertex index among equals); a sweep over the
 sorted angles scores all n candidates in O(n log n + m) time and
-O(n + m) memory. Both entry points reject non-finite angles.
+O(n + m) memory. Both entry points check theta once, in graph._angles:
+its shape, its dtype and that every angle is finite.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ _RADIUS_INIT = 1.0
 _RADIUS_MAX = 10.0
 _ACCEPT_RATIO_LO = 0.25   # shrink the radius below this ratio
 _ACCEPT_RATIO_HI = 0.75   # grow it above this one (on boundary steps)
-
-
-def _check_angles(g: Graph, theta) -> np.ndarray:
-    """_angles(theta, n), wrapped; raises ValueError on a non-finite angle."""
-    theta = _angles(theta, g.n)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("rotor angles must be finite")
-    return wrap_angles(theta)
 
 
 def _boundary_tau(z: np.ndarray, d: np.ndarray, radius: float) -> float:
@@ -149,7 +142,7 @@ def bmz_minimize(
     every accepted step. Raises ValueError if theta0 has the wrong length
     or a non-finite entry.
     """
-    theta = _check_angles(g, theta0)
+    theta = wrap_angles(_angles(theta0, g.n))
 
     model = _cartesian(g, theta)
     f = float(_energy(*model))
@@ -251,7 +244,7 @@ def procedure_cut(g: Graph, theta) -> tuple[float, np.ndarray]:
     candidates whose cuts tie to the last few bits a different, equally
     good labelling may win.
     """
-    theta = _check_angles(g, theta)
+    theta = wrap_angles(_angles(theta, g.n))
     n = g.n
     ii, jj, ww = g.edge_arrays
 

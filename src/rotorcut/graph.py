@@ -77,18 +77,24 @@ def _real_array(what: str, x) -> np.ndarray:
     return x
 
 
-def _angles(theta, n: int, batch: bool = False) -> np.ndarray:
-    """theta as a float array of shape (n,), or with batch also (K, n);
-    otherwise raises ValueError naming the shape it got and the one it needs,
-    or naming its dtype unless integer or float: complex is not converted."""
+def _angles(theta, n: int | None, batch: bool = False) -> np.ndarray:
+    """theta as a finite float array of shape (n,), with batch also (K, n),
+    or of any shape for n None; otherwise raises ValueError naming its dtype
+    unless integer or float (complex is not converted), the shape it got and
+    the one it needs, or a non-finite angle, before any cosine warns. On the
+    sampling hot path that last test is one sum: finite angles have a finite
+    sum unless it overflows, which numpy warns of and the exact test accepts."""
     theta = np.asarray(theta)
     if theta.dtype is not _FLOAT:  # identity, not equality: this is the sampling hot path
         if theta.dtype.kind not in "iuf":
             raise ValueError(f"rotor angles must be real numbers, got dtype {theta.dtype}")
         theta = theta.astype(float)
-    if theta.shape != (n,) and not (batch and theta.ndim == 2 and theta.shape[1] == n):
-        need = f"({n},) or (K, {n})" if batch else f"({n},)"
-        raise ValueError(f"rotor angles must have shape {need}, got {theta.shape}")
+    if n is not None and theta.shape != (n,):
+        if not (batch and theta.ndim == 2 and theta.shape[1] == n):
+            need = f"({n},) or (K, {n})" if batch else f"({n},)"
+            raise ValueError(f"rotor angles must have shape {need}, got {theta.shape}")
+    if not math.isfinite(np.add.reduce(theta, axis=None)) and not np.isfinite(theta).all():
+        raise ValueError("rotor angles must be finite")
     return theta
 
 

@@ -31,8 +31,10 @@ TWO_PI = 2.0 * np.pi
 
 
 def wrap_angles(theta) -> np.ndarray:
-    """Normalize angles to [0, 2*pi). Every consumer is 2*pi-periodic."""
-    wrapped = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    """Normalize angles of any shape to [0, 2*pi). Every consumer is
+    2*pi-periodic. Raises ValueError, as _angles does, unless theta is a
+    finite integer or float array."""
+    wrapped = np.mod(_angles(theta, None), TWO_PI)
     # np.mod rounds tiny negative angles, |t| < ulp(2*pi)/2, up to exactly 2*pi
     return np.where(wrapped == TWO_PI, 0.0, wrapped)
 
@@ -86,6 +88,8 @@ def cost(g: Graph, theta) -> float | np.ndarray:
     One configuration of shape (n,) gives a float; a batch (K, n) gives an
     array of shape (K,), each entry equal to the single-configuration value.
     Invariant under global rotation t -> t + phi and reflection t -> -t.
+    Raises ValueError (_angles) on any other shape, a non-real dtype or a
+    non-finite angle.
     """
     e = _energy(*_cartesian(g, _angles(theta, g.n, batch=True)))
     return float(e) if e.ndim == 0 else e
@@ -93,7 +97,8 @@ def cost(g: Graph, theta) -> float | np.ndarray:
 
 def cost_gradient(g: Graph, theta) -> np.ndarray:
     """Analytic gradient: d/dt_i = -sum_j w_ij * sin(t_i - t_j)
-    = c_i (As)_i - s_i (Ac)_i."""
+    = c_i (As)_i - s_i (Ac)_i. Raises ValueError (_angles) unless theta is
+    a finite real array of shape (n,)."""
     return _gradient(*_cartesian(g, _angles(theta, g.n)))
 
 
@@ -104,7 +109,8 @@ def cost_hessian(g: Graph, theta) -> sparse.csr_array:
     Off-edge entries are structurally zero; graphs here are sparse, so no
     dense assembly. The pattern is that of Graph.adjacency, whose explicit
     diagonal zeros reserve the diagonal; each call fills the data of a fresh
-    copy of it.
+    copy of it. Raises ValueError (_angles) unless theta is a finite real
+    array of shape (n,).
     """
     hess = g.adjacency.copy()
     _fill_hessian(g, *_cartesian(g, _angles(theta, g.n)), hess.data)

@@ -21,7 +21,6 @@ I1/I0 and drive the stochastic reconfiguration update.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +68,7 @@ def _ratio(arr: np.ndarray) -> np.ndarray:
 
 
 def visible_vectors(theta) -> np.ndarray:
-    """Unit vectors (cos t_j, sin t_j): angles of shape (..., n) give (..., n, 2)."""
-    theta = np.asarray(theta, dtype=float)
+    """Unit vectors (cos t_j, sin t_j): float angles (..., n) give (..., n, 2)."""
     v = np.empty(theta.shape + (2,))
     np.cos(theta, out=v[..., 0])
     np.sin(theta, out=v[..., 1])
@@ -125,6 +123,7 @@ class RbmParams:
 
     @classmethod
     def unpack(cls, vec, n: int, m: int) -> "RbmParams":
+        n, m = _integer("n", n, 0), _integer("m", m, 0)
         vec = _real_array("packed parameters", vec)
         expected = n * m + 2 * (n + m)
         if vec.shape != (expected,):
@@ -140,19 +139,13 @@ class RbmParams:
 def _fields(p: RbmParams, theta, batch: bool = True) -> tuple[np.ndarray, ...]:
     """(v, u, |u_i|) for one configuration (n,) or, with batch, a batch
     (K, n): shapes (..., n, 2), (..., m, 2) and (..., m), with u = b + a v
-    the effective fields. Raises ValueError on any other shape (_angles) or
-    a non-finite angle.
-
-    The parameters are finite by construction, so a finite theta gives
-    finite, nonnegative norms, the only arguments _log_i0 and _ratio accept;
-    this one check covers them on the sampling hot path.
+    the effective fields. Raises ValueError (_angles) on any other shape, a
+    non-real dtype or a non-finite angle.
     """
     v = visible_vectors(_angles(theta, p.n, batch))
     u = p.a @ v
     u += p.b
     sq = np.add.reduce(u * u, axis=-1)
-    if not math.isfinite(np.add.reduce(sq, axis=None)):
-        raise ValueError("rotor angles must be finite")
     return v, u, np.sqrt(sq, out=sq)
 
 
@@ -222,8 +215,6 @@ def init_pretrained(
     hidden biases start at zero and couplings at N(0, sigma^2).
     """
     theta_star = _angles(theta_star, np.size(theta_star))  # one configuration
-    if not np.all(np.isfinite(theta_star)):
-        raise ValueError("rotor angles must be finite")
     r = _real("r", r, 0.0)
     a = _couplings(theta_star.size, alpha, sigma, seed)
     return RbmParams(a=a, b=np.zeros((a.shape[0], 2)), c=r * visible_vectors(theta_star))

@@ -33,8 +33,7 @@ from scipy import sparse, special
 from rotorcut import (
     Graph, GraphFormatError, cost, cost_gradient, cost_hessian, cut_value, wrap_angles,
 )
-from rotorcut.bmz import _check_angles
-from rotorcut.graph import _integer
+from rotorcut.graph import _angles, _integer
 
 mpmath.mp.dps = 50
 
@@ -343,7 +342,7 @@ def hessian_every_iteration_bmz(g, theta0):
     assembled at the top of every iteration, also after a rejected step,
     where the point has not moved, and CG runs afresh at every radius.
     Returns (theta, energy, iters)."""
-    theta = _check_angles(g, theta0)
+    theta = wrap_angles(_angles(theta0, g.n))
     f = cost(g, theta)
     grad = cost_gradient(g, theta)
     radius = 1.0

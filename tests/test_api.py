@@ -25,6 +25,7 @@ from rotorcut import (
     log_psi,
     procedure_cut,
     random_start,
+    wrap_angles,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -155,6 +156,15 @@ ANGLE_ENTRIES = {
 }
 
 
+# and the two that take angles of another shape: theta* of any length,
+# and wrap_angles of any shape
+ALL_ANGLE_TAKERS = {
+    **ANGLE_ENTRIES,
+    "init_pretrained": (lambda t: init_pretrained(t, seed=0), False),
+    "wrap_angles": (wrap_angles, True),
+}
+
+
 @pytest.mark.parametrize("entry", ANGLE_ENTRIES.values(), ids=ANGLE_ENTRIES.keys())
 def test_angle_shape_checked_once_where_it_enters(entry):
     call, batched = entry
@@ -176,11 +186,7 @@ def test_angle_shape_checked_once_where_it_enters(entry):
             np.testing.assert_array_equal(row, call(theta))
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [*ANGLE_ENTRIES.values(), (lambda t: init_pretrained(t, seed=0), False)],
-    ids=[*ANGLE_ENTRIES.keys(), "init_pretrained"],
-)
+@pytest.mark.parametrize("entry", ALL_ANGLE_TAKERS.values(), ids=ALL_ANGLE_TAKERS.keys())
 def test_angle_dtype_checked_once_where_it_enters(entry):
     # only integer and float arrays are angles: a complex array is not
     # cast to its real part, nor strings parsed as numbers
@@ -208,6 +214,31 @@ def test_pretrained_angles_checked_where_they_enter():
             init_pretrained(theta)
         assert info.traceback[-1].name == "_angles"
     assert init_pretrained([0.0, 1.0, 2.0], seed=0).n == 3
+
+
+@pytest.mark.parametrize("entry", ALL_ANGLE_TAKERS.values(), ids=ALL_ANGLE_TAKERS.keys())
+def test_angle_finiteness_checked_once_where_it_enters(entry):
+    # a non-finite angle is refused by the one rule before any cosine, so
+    # nothing warns first; a batch with one bad row is refused whole
+    call, batched = entry
+    for bad in (np.nan, np.inf, -np.inf):
+        thetas = [np.array([0.3, bad, 5.5])]
+        if batched:
+            batch = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, (5, 3))
+            batch[2, 0] = bad
+            thetas.append(batch)
+        for theta in thetas:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^rotor angles must be finite$") as info:
+                    call(theta)
+            assert info.traceback[-1].name == "_angles"
+    # finite angles whose one-sum test overflows pass the exact test behind
+    # it, after numpy's overflow warning
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = call(np.array([1e308, 1e308, 0.0]))
+    if isinstance(out, (float, np.ndarray)):
+        assert np.isfinite(out).all()
 
 
 def test_empty_batch_scores_to_empty_rows():

@@ -58,9 +58,9 @@ def test_log_psi_and_derivatives_reject_non_finite_angles():
     p = random_params(3, 2, seed=4)
     for bad in (np.nan, np.inf, -np.inf):
         theta = np.array([0.3, bad, 5.5])
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rotor angles must be finite$"):
             log_psi(p, theta)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rotor angles must be finite$"):
             log_derivatives(p, theta)
 
 
@@ -94,6 +94,11 @@ def test_packing_order_pinned():
 def test_unpack_length_check():
     with pytest.raises(ValueError):
         RbmParams.unpack(np.zeros(7), 2, 2)
+    # the sizes are counts, checked before they slice the vector
+    for n, m, message in ((2, 2.0, "^m must be an integer"), (2.0, 2, "^n must be an integer"),
+                          ("2", 2, "^n must be an integer"), (-2, 1, "^n must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            RbmParams.unpack(np.zeros(2), n, m)
 
 
 def test_params_shape_validation():
