@@ -11,7 +11,6 @@ starting point from `[seed, 2]`.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import time
 from contextlib import ExitStack
@@ -92,9 +91,9 @@ class ExperimentSpec:
                 or any(sep in label for sep in (os.sep, os.altsep, "\0") if sep)):
             raise ValueError(f"label must be a file name, not a path, got {label!r}")
         try:  # stored as Python ints, which the summary JSON can hold
-            object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
-        except TypeError:
-            raise ValueError(f"seeds must be integers, got {self.seeds}") from None
+            object.__setattr__(self, "seeds", tuple(_integer("seeds", s, 0) for s in self.seeds))
+        except TypeError:  # not iterable
+            raise ValueError(f"seeds must be integers, got {self.seeds!r}") from None
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.init not in INIT_MODES:
@@ -103,8 +102,6 @@ class ExperimentSpec:
             object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, strict))
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         object.__setattr__(self, "workers", _integer("workers", self.workers, 1))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import chain
@@ -38,12 +37,11 @@ class GraphFormatError(ValueError):
 
 
 def _integer(name: str, value, minimum: int, error=ValueError, maximum=math.inf) -> int:
-    """value as an int, if it is an integer (operator.index) in [minimum,
+    """value as an int, if it is a numbers.Integral but not a bool, in [minimum,
     maximum]; otherwise raises error, GraphFormatError for graph inputs, naming it."""
-    try:
-        k = operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    k = int(value)
     if k < minimum:
         raise error(f"{name} must be >= {minimum}, got {k}")
     if k > maximum:
@@ -52,10 +50,11 @@ def _integer(name: str, value, minimum: int, error=ValueError, maximum=math.inf)
 
 
 def _real(name: str, value, minimum: float, strict: bool = False, error=ValueError) -> float:
-    """value as a float, if it is a finite real number >= minimum (> minimum
-    when strict); otherwise raises error naming it."""
+    """value as a float, if it is a finite numbers.Real but not a bool, >= minimum
+    (> minimum when strict); otherwise raises error naming it."""
     try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        x = float(value) if real else math.nan
     except OverflowError:  # an integer beyond the range of a double
         x = math.inf
     if not (math.isfinite(x) and (x > minimum if strict else x >= minimum)):
@@ -64,31 +63,30 @@ def _real(name: str, value, minimum: float, strict: bool = False, error=ValueErr
     return x
 
 
-def _real_array(what: str, x) -> np.ndarray:
+def _real_array(what: str, x, error=ValueError) -> np.ndarray:
     """x as a float array, if its dtype is integer or float; otherwise raises
-    ValueError naming what and the dtype: complex, bool, string and object
-    arrays are refused, not converted. _angles inlines the same test, as
-    log psi calls it on every Metropolis step."""
-    x = np.asarray(x)
-    if x.dtype is not _FLOAT:  # identity, not equality: unpack runs every SR iteration
+    error naming what and the dtype: complex, bool, string, object and ragged
+    arrays are refused, not converted. The one dtype rule for arrays, it runs
+    on every Metropolis step (_angles) and SR iteration (RbmParams.unpack)."""
+    try:
+        x = np.asarray(x)
+    except ValueError:  # nested sequences of unequal length
+        raise error(f"{what} must be real numbers, got a ragged sequence") from None
+    if x.dtype is not _FLOAT:  # identity, not equality: a cheap test on the hot path
         if x.dtype.kind not in "iuf":
-            raise ValueError(f"{what} must be real numbers, got dtype {x.dtype}")
+            raise error(f"{what} must be real numbers, got dtype {x.dtype}")
         x = x.astype(float)
     return x
 
 
 def _angles(theta, n: int | None, batch: bool = False) -> np.ndarray:
     """theta as a finite float array of shape (n,), with batch also (K, n),
-    or of any shape for n None; otherwise raises ValueError naming its dtype
-    unless integer or float (complex is not converted), the shape it got and
-    the one it needs, or a non-finite angle, before any cosine warns. On the
-    sampling hot path that last test is one sum: finite angles have a finite
-    sum unless it overflows, which numpy warns of and the exact test accepts."""
-    theta = np.asarray(theta)
-    if theta.dtype is not _FLOAT:  # identity, not equality: this is the sampling hot path
-        if theta.dtype.kind not in "iuf":
-            raise ValueError(f"rotor angles must be real numbers, got dtype {theta.dtype}")
-        theta = theta.astype(float)
+    or of any shape for n None; otherwise raises ValueError naming a dtype
+    not integer or float (_real_array), the shape it got and the one it
+    needs, or a non-finite angle, before any cosine warns. On the sampling
+    hot path that last test is one sum: finite angles have a finite sum
+    unless it overflows, which numpy warns of and the exact test accepts."""
+    theta = _real_array("rotor angles", theta)
     if n is not None and theta.shape != (n,):
         if not (batch and theta.ndim == 2 and theta.shape[1] == n):
             need = f"({n},) or (K, {n})" if batch else f"({n},)"
@@ -110,10 +108,11 @@ class Graph:
     Instances are immutable and safe to share across threads.
 
     The given edges are checked here, as arrays, wherever they came from.
-    A self-loop, out-of-range index, repeated pair or non-finite weight
-    raises GraphFormatError naming the fault, the offending edge's position
-    k in the given sequence as edges[k], and its 0-based endpoints and
-    weight.
+    Weights whose dtype is not integer or float raise GraphFormatError
+    naming it (_real_array). A self-loop, out-of-range index, repeated pair
+    or non-finite weight raises GraphFormatError naming the fault, the
+    offending edge's position k in the given sequence as edges[k], and its
+    0-based endpoints and weight.
     """
 
     n: int
@@ -136,10 +135,9 @@ class Graph:
         if given and not integral:
             raise GraphFormatError("vertex indices must be integers")
         ii, jj = ends.astype(np.intp)
-        try:
-            ww = np.fromiter(ww, float, len(given))
-        except (TypeError, ValueError):
-            raise GraphFormatError("edge weights must be real numbers") from None
+        ww = _real_array("edge weights", ww, GraphFormatError)
+        if ww.ndim != 1:
+            raise GraphFormatError("edge weights must be real numbers, not sequences")
         self._store(n, ii, jj, ww)
 
     @classmethod
@@ -314,7 +312,7 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
     set, so the instance depends only on (n, m_edges, weight_mode, seed).
 
     weight_mode: "unit" for w = 1 on every edge, or a (lo, hi) pair for
-    i.i.d. uniform weights on that range.
+    i.i.d. uniform weights on that range, with lo < hi and hi - lo finite.
     """
     n = _integer("n", n, 2, GraphFormatError, _MAX_VERTICES)
     m_edges = _integer("m_edges", m_edges, 0, GraphFormatError)
@@ -339,7 +337,7 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
     elif isinstance(weight_mode, tuple) and len(weight_mode) == 2:
         lo, hi = (_real(f"weight_mode[{k}]", bound, -math.inf, error=GraphFormatError)
                   for k, bound in enumerate(weight_mode))
-        if not lo < hi:
+        if not (lo < hi and math.isfinite(hi - lo)):  # uniform draws lo + (hi - lo) u
             raise GraphFormatError(f"invalid weight range ({lo}, {hi})")
         weights = rng.uniform(lo, hi, size=m_edges)
     else:
@@ -348,23 +346,19 @@ def generate_graph(n: int, m_edges: int, weight_mode: WeightMode, seed) -> Graph
     return Graph._from_arrays(n, ii, jj, weights)
 
 
-def _check_assignment(g: Graph, x) -> np.ndarray:
+def cut_value(g: Graph, x) -> float:
+    """Total weight of edges crossing the bipartition x in {+1,-1}^n.
+
+    Equals (1/2) * sum_edges w_ij * (1 - x_i x_j). ValueError names the
+    fault unless x is a real array (_real_array) of shape (n,) of +1 and -1.
+    """
     x = _real_array("assignment entries", x)
     if x.shape != (g.n,):
         raise ValueError(f"assignment length {x.shape} does not match n={g.n}")
     if not np.all(np.abs(x) == 1):
         raise ValueError("assignment entries must be +1 or -1")
-    return x
-
-
-def cut_value(g: Graph, x) -> float:
-    """Total weight of edges crossing the bipartition x in {+1,-1}^n.
-
-    Equals (1/2) * sum_edges w_ij * (1 - x_i x_j).
-    """
-    xf = _check_assignment(g, x)
     ii, jj, ww = g.edge_arrays
-    return float(0.5 * np.sum(ww * (1.0 - xf[ii] * xf[jj])))
+    return float(0.5 * np.sum(ww * (1.0 - x[ii] * x[jj])))
 
 
 def brute_force_max_cut(g: Graph) -> tuple[float, np.ndarray]:

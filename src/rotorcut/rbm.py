@@ -29,6 +29,7 @@ from .graph import _angles, _integer, _real, _real_array
 from .objective import TWO_PI
 
 _LOG_TWO_PI = np.log(TWO_PI)
+_MAX_FIELD = np.sqrt(np.finfo(float).max)  # so that |u_i|^2 cannot overflow
 
 
 @functools.cache
@@ -54,7 +55,8 @@ def _log_i0(arr: np.ndarray) -> np.ndarray:
     # the usual case on the sampling path: no argument needs the series
     if arr.size and np.minimum.reduce(arr, axis=None) > 0.05:
         return large
-    x2 = arr * arr
+    x = np.minimum(arr, 0.05)  # the series' range, where x**6 cannot overflow
+    x2 = x * x
     # series truncation error is below 1e-15 relative for x <= 0.05
     small = np.log1p(x2 / 4.0 + x2 * x2 / 64.0 + x2 * x2 * x2 / 2304.0)
     return np.where(arr <= 0.05, small, large)
@@ -82,6 +84,9 @@ class RbmParams:
     a: (m, n) couplings, b: (m, 2) hidden biases, c: (n, 2) visible biases,
     each finite, of integer or float dtype (stored as float; complex, bool,
     string and object arrays raise ValueError naming the field and dtype).
+    So that log psi cannot overflow, |b_i| + sum_j |a_ij|, which bounds the
+    hidden field |u_i|, must be <= sqrt(float max) for every i, and sum_j
+    |c_j| finite; otherwise ValueError names the field at fault.
     pack/unpack is the one packed layout: a (row-major), then b, then c
     (row-major), giving n_params = n*m + 2*(n + m); log_derivatives writes
     its blocks in the same order. Treat instances as immutable;
@@ -94,10 +99,7 @@ class RbmParams:
 
     def __post_init__(self):
         for name in "abc":
-            arr = _real_array(f"RbmParams.{name}", getattr(self, name))
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {name}")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _real_array(f"RbmParams.{name}", getattr(self, name)))
         if self.a.ndim != 2:
             raise ValueError("a must be a (m, n) matrix")
         m, n = self.a.shape
@@ -105,6 +107,15 @@ class RbmParams:
             raise ValueError(f"b must have shape ({m}, 2), got {self.b.shape}")
         if self.c.shape != (n, 2):
             raise ValueError(f"c must have shape ({n}, 2), got {self.c.shape}")
+        with np.errstate(over="ignore"):  # past float max a sum is inf, and refused
+            hidden = np.hypot(*self.b.T) + np.add.reduce(np.abs(self.a), axis=1)
+            visible = np.add.reduce(np.hypot(*self.c.T))
+        top = np.maximum.reduce(hidden, initial=0.0)  # nan propagates
+        if not top <= _MAX_FIELD:
+            raise ValueError(f"RbmParams.a, b: |b_i| + sum_j |a_ij| must be <= {_MAX_FIELD:.6g}"
+                             f" for every hidden unit i, got {top:.6g}")
+        if not visible < np.inf:  # refuses inf and nan
+            raise ValueError(f"RbmParams.c: sum_j |c_j| must be finite, got {visible}")
 
     @property
     def m(self) -> int:

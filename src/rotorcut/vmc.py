@@ -235,12 +235,9 @@ def apply_metric(batch: SrBatch, x, lam: float) -> np.ndarray:
 
     With X = batch.centered and C = diag(counts), S = X'CX/N: two passes
     over the K x P matrix X, centred once per batch; the P x P matrix is
-    never formed.
+    never formed. x is not checked: sr_solve, the one caller, builds it, and
+    a wrong length fails in numpy's matmul.
     """
-    x = np.asarray(x, dtype=float)
-    n_params = batch.o_matrix.shape[1]
-    if x.shape != (n_params,):
-        raise ValueError(f"vector length {x.shape} does not match P={n_params}")
     centered = batch.centered
     return centered.T @ (batch.counts * (centered @ x)) / batch.n_kept + lam * x
 

@@ -105,6 +105,14 @@ K3 = complete_graph(3)
 BAD_SETTINGS = {
     "VmcConfig-lambda_reg": ("lambda_reg", lambda: VmcConfig(lambda_reg="1e-6"), ValueError),
     "VmcConfig-learning_rate": ("learning_rate", lambda: VmcConfig(learning_rate=None), ValueError),
+    # a Python bool is not a number here, as numpy's bools are not
+    "VmcConfig-n_iter-bool": ("n_iter", lambda: VmcConfig(n_iter=True), ValueError),
+    "VmcConfig-learning_rate-bool": (
+        "learning_rate", lambda: VmcConfig(learning_rate=True), ValueError
+    ),
+    "ExperimentSpec-seeds-bool": (
+        "seeds", lambda: ExperimentSpec(graph=K3, seeds=(True, 0)), ValueError
+    ),
     "ExperimentSpec-alpha": ("alpha", lambda: ExperimentSpec(graph=K3, alpha="1"), ValueError),
     "ExperimentSpec-sigma": ("sigma", lambda: ExperimentSpec(graph=K3, sigma=None), ValueError),
     "ExperimentSpec-graph": ("graph", lambda: ExperimentSpec(graph=None), ValueError),
@@ -200,7 +208,7 @@ def test_angle_dtype_checked_once_where_it_enters(entry):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message) as info:
                 call(theta)
-        assert info.traceback[-1].name == "_angles"
+        assert info.traceback[-1].name == "_real_array"
     for theta in (np.arange(3), np.arange(3, dtype=np.uint8), np.arange(3, dtype=np.float32)):
         call(theta)
 

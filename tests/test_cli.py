@@ -30,6 +30,11 @@ def test_gen_graph_rejects_impossible(tmp_path, capsys):
     code = main(["gen-graph", "--n", "4", "--m", "99", "-o", str(tmp_path / "g.txt")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # a weight range wider than a double is refused, not left to numpy's OverflowError
+    code = main(["gen-graph", "--n", "4", "--m", "3", "--weights", "random",
+                 "--lo=-1e308", "--hi=1e308", "-o", str(tmp_path / "g.txt")])
+    assert code == 2
+    assert "error: invalid weight range" in capsys.readouterr().err
 
 
 def test_bruteforce(tmp_path, capsys):

@@ -36,8 +36,8 @@ def test_spec_validation(k3):
         ExperimentSpec(graph=k3, seeds=())
     with pytest.raises(ValueError, match="distinct"):
         ExperimentSpec(graph=k3, seeds=(0, 0))
-    for bad in ((1.5,), (-1,), ("0",)):
-        with pytest.raises(ValueError, match="seeds"):
+    for bad in ((1.5,), (-1,), ("0",), 3):
+        with pytest.raises(ValueError, match="^seeds must be"):
             ExperimentSpec(graph=k3, seeds=bad)
     seeds = ExperimentSpec(graph=k3, seeds=tuple(np.arange(2))).seeds
     assert seeds == (0, 1) and all(type(s) is int for s in seeds)

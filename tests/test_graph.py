@@ -2,6 +2,8 @@ import copy
 import hashlib
 import itertools
 import pickle
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -255,12 +257,15 @@ def test_generate_graph_shape_and_weights():
         (7, "unit", "too large"),
         (3, "gaussian", "unknown weight mode"),
         (3, (2.0, 2.0), "invalid weight range"),
+        (3, (-1e308, 1e308), "invalid weight range"),
     ],
-    ids=["too-many-edges", "unknown-weight-mode", "empty-weight-range"],
+    ids=["too-many-edges", "unknown-weight-mode", "empty-weight-range", "overflowing-weight-range"],
 )
 def test_generate_graph_rejects_bad_request(m_edges, weight_mode, fragment):
-    with pytest.raises(GraphFormatError, match=fragment):
-        generate_graph(4, m_edges, weight_mode=weight_mode, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphFormatError, match=fragment):
+            generate_graph(4, m_edges, weight_mode=weight_mode, seed=0)
 
 
 def test_cut_value_examples(k3):
@@ -337,6 +342,18 @@ def test_graph_validation():
         Graph(3, [(-1, 1, 1.0)])
     with pytest.raises(GraphFormatError, match="real numbers"):
         Graph(3, [(0, 1, 1 + 2j)])
+    # weights go through the one dtype rule: nothing is parsed, cast or converted
+    for weight, dtype in (("2.5", "<U3"), (True, "bool"), (np.complex128(1), "complex128"),
+                          (Fraction(1, 2), "object"), (2**64, "object")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphFormatError,
+                               match=rf"^edge weights must be real numbers, got dtype {dtype}$"):
+                Graph(3, [(0, 1, weight)])
+    for edges in ([(0, 1, [1.0])], [(0, 1, [1.0, 2.0]), (1, 2, 1.0)]):
+        with pytest.raises(GraphFormatError, match="^edge weights must be real numbers"):
+            Graph(3, edges)
+    assert Graph(3, [(0, 1, 2), (1, 2, np.float32(0.5))]).edges == ((0, 1, 2.0), (1, 2, 0.5))
     # numpy reads a bool among integer endpoints as 0 or 1
     assert Graph(3, [(0, True, 1.0)]).edges == ((0, 1, 1.0),)
     assert Graph(3, ((i, i + 1, 1.0) for i in range(2))).edges == (

@@ -128,6 +128,40 @@ def test_params_shape_validation():
     np.testing.assert_array_equal(RbmParams.unpack(np.arange(8), 2, 1).pack(), np.arange(8.0))
 
 
+def test_params_bounded_so_log_psi_cannot_overflow():
+    # finite parameters whose hidden field or visible sum would overflow in
+    # log psi, and non-finite ones, are refused where they enter, naming
+    # the field, with no warning first
+    zeros = {"a": np.zeros((2, 3)), "b": np.zeros((2, 2)), "c": np.zeros((3, 2))}
+    hidden, visible = r"^RbmParams\.a, b: .* got ", r"^RbmParams\.c: .* got "
+    cases = [
+        ("a", np.full((2, 3), 1e200), hidden + r"3e\+200$"),
+        ("b", np.full((2, 2), 1e200), hidden + r"1\.41421e\+200$"),
+        ("a", np.full((2, 3), 1.7e308), hidden + "inf$"),
+        ("c", np.full((3, 2), 1e308), visible + "inf$"),
+        ("a", np.full((2, 3), np.nan), hidden + "nan$"),
+        ("b", np.full((2, 2), np.inf), hidden + "inf$"),
+        ("c", np.full((3, 2), -np.inf), visible + "inf$"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, bad, message in cases:
+            fields = {**zeros, name: bad}
+            with pytest.raises(ValueError, match=message):
+                log_psi(RbmParams(**fields), [0.1, 0.2, 0.3])
+            # as the SR loop rebuilds them every iteration
+            with pytest.raises(ValueError, match=message):
+                RbmParams.unpack(np.concatenate([fields[k].ravel() for k in "abc"]), 3, 2)
+        with pytest.raises(ValueError, match=visible):
+            init_pretrained([0.1, 0.2, 0.3], r=1e308)
+        # just inside the bound, beside a vanishing field that takes the
+        # series branch of log I0, log psi and its derivatives are finite
+        edge = float(np.nextafter(np.sqrt(np.finfo(float).max), 0.0))
+        p = RbmParams(**{**zeros, "b": np.array([[edge, 0.0], [0.0, 0.0]])})
+        assert np.isfinite(log_psi(p, [0.1, 0.2, 0.3]))
+        assert np.isfinite(log_derivatives(p, [0.1, 0.2, 0.3])).all()
+
+
 def test_hidden_fields_formula():
     p = random_params(3, 2, seed=2)
     thetas = np.array([[0.3, 2.0, 5.5], [1.0, 4.0, 0.2]])
