@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Union
@@ -96,6 +96,7 @@ def _angles(theta, n: int | None, batch: bool = False) -> np.ndarray:
     return theta
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Graph:
     """Simple undirected weighted graph with 0-based vertex indices.
 
@@ -105,7 +106,8 @@ class Graph:
     Graph(n, edges) takes (i, j, w) triples, and the edges attribute gives
     them back as a tuple of triples, built from the arrays on first access;
     equality, hashing and repr mean what they would on (n, edges).
-    Instances are immutable and safe to share across threads.
+    Instances are immutable, with read-only arrays, the cached adjacency's
+    included, and safe to share across threads.
 
     The given edges are checked here, as arrays, wherever they came from.
     Weights whose dtype is not integer or float raise GraphFormatError
@@ -179,12 +181,6 @@ class Graph:
         # a pickle holds the arrays only; the caches are rebuilt on use
         return self.n, self.edge_arrays
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -214,7 +210,7 @@ class Graph:
     def _csr(self) -> tuple[sparse.csr_array, np.ndarray]:
         """(adjacency, _hessian_slots) from one stable sort by (row, column)
         of the 2m + n stored entries: entry k is edge k at (i, j), m + k the
-        same edge at (j, i), and 2m + i the diagonal (i, i)."""
+        same edge at (j, i), and 2m + i the diagonal (i, i). Read-only."""
         n, m = self.n, self.m
         ii, jj, ww = self.edge_arrays
         d = np.arange(n, dtype=np.intp)
@@ -223,21 +219,24 @@ class Graph:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         data = np.concatenate([ww, ww, np.zeros(n)])[order]
         adjacency = sparse.csr_array((data, cols[order], indptr), shape=(n, n))
-        return adjacency, np.where(order < m, order, order - m)
+        slots = np.where(order < m, order, order - m)
+        for a in (adjacency.data, adjacency.indices, adjacency.indptr, slots):
+            a.flags.writeable = False
+        return adjacency, slots
 
     @property
     def adjacency(self) -> sparse.csr_array:
         """Weighted adjacency as a symmetric n x n CSR matrix: w_ij at (i, j)
         and (j, i) for every edge, and an explicit zero on every diagonal
         entry, so the rotor Hessian (objective.cost_hessian) fills this same
-        pattern. Column indices are sorted within each row. Cached."""
+        pattern, with column indices sorted in each row. Cached and read-only."""
         return self._csr[0]
 
     @property
     def _hessian_slots(self) -> np.ndarray:
         """For each stored entry of adjacency, in order, where the rotor
         Hessian takes its value from: k for edge k, at (i, j) or (j, i), and
-        m + i for the diagonal entry (i, i). Cached."""
+        m + i for the diagonal entry (i, i). Cached and read-only."""
         return self._csr[1]
 
     @property

@@ -70,8 +70,8 @@ def _gradient(c, s, ac, as_) -> np.ndarray:
 def _fill_hessian(g: Graph, c, s, ac, as_, out: np.ndarray) -> None:
     """Write the Hessian's data, in the stored order of g.adjacency, into
     out from a single-configuration _cartesian model: w_ij (c_i c_j + s_i s_j)
-    is taken once per edge and the diagonal once per vertex, then each
-    stored entry gathers its value (Graph._hessian_slots)."""
+    once per edge and the diagonal once per vertex, then gathered into each
+    stored entry by indexing (np.take would copy the read-only _hessian_slots)."""
     ii, jj, ww = g.edge_arrays
     values = np.empty(g.m + g.n)
     edge = values[:g.m]
@@ -79,7 +79,7 @@ def _fill_hessian(g: Graph, c, s, ac, as_, out: np.ndarray) -> None:
     edge += s[ii] * s[jj]
     edge *= ww
     values[g.m:] = -(c * ac + s * as_)
-    np.take(values, g._hessian_slots, out=out)
+    out[:] = values[g._hessian_slots]
 
 
 def cost(g: Graph, theta) -> float | np.ndarray:

@@ -89,8 +89,9 @@ class RbmParams:
     |c_j| finite; otherwise ValueError names the field at fault.
     pack/unpack is the one packed layout: a (row-major), then b, then c
     (row-major), giving n_params = n*m + 2*(n + m); log_derivatives writes
-    its blocks in the same order. Treat instances as immutable;
-    optimization always goes through pack/unpack.
+    its blocks in the same order. An instance keeps read-only copies of the
+    arrays it is given, so the bound holds for its life; a change of
+    parameters builds a new instance, as unpack does.
     """
 
     a: np.ndarray
@@ -99,7 +100,9 @@ class RbmParams:
 
     def __post_init__(self):
         for name in "abc":
-            object.__setattr__(self, name, _real_array(f"RbmParams.{name}", getattr(self, name)))
+            x = np.array(_real_array(f"RbmParams.{name}", getattr(self, name)))
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
         if self.a.ndim != 2:
             raise ValueError("a must be a (m, n) matrix")
         m, n = self.a.shape
@@ -141,10 +144,8 @@ class RbmParams:
             raise ValueError(
                 f"packed vector has {vec.shape} entries, expected {expected}"
             )
-        a = vec[: m * n].reshape(m, n)
-        b = vec[m * n : m * n + 2 * m].reshape(m, 2)
-        c = vec[m * n + 2 * m :].reshape(n, 2)
-        return cls(a=a.copy(), b=b.copy(), c=c.copy())
+        return cls(a=vec[: m * n].reshape(m, n), b=vec[m * n : m * n + 2 * m].reshape(m, 2),
+                   c=vec[m * n + 2 * m :].reshape(n, 2))
 
 
 def _fields(p: RbmParams, theta, batch: bool = True) -> tuple[np.ndarray, ...]:

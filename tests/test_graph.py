@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import pickle
 import warnings
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from rotorcut import (
     Graph,
     GraphFormatError,
     brute_force_max_cut,
+    cost_hessian,
     cut_value,
     generate_graph,
     parse_edge_list,
@@ -177,15 +179,31 @@ def test_equality_hash_and_pickle():
 
 def test_graph_is_immutable():
     g = parse_edge_list(K3_TEXT)
-    with pytest.raises(AttributeError):
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'n'$"):
         g.n = 4
-    with pytest.raises(AttributeError):
+    with pytest.raises(FrozenInstanceError):
+        setattr(g, "n", 3)
+    with pytest.raises(FrozenInstanceError):
         g.edge_arrays = ()
-    with pytest.raises(AttributeError):
+    with pytest.raises(FrozenInstanceError, match="^cannot delete field 'n'$"):
         del g.n
     for a in g.edge_arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 2
+
+
+def test_cached_csr_is_read_only():
+    # every BMZ and cost call reads the cached matrix, so no caller may
+    # write into it; a Hessian fills a writable copy of its pattern
+    g = generate_graph(12, 30, weight_mode=(0.0, 15.0), seed=9)
+    for h in (g, pickle.loads(pickle.dumps(g))):  # a round trip rebuilds the cache
+        a = h.adjacency
+        for arr in (a.data, a.indices, a.indptr, h._hessian_slots):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        hess = cost_hessian(h, np.linspace(0.0, 3.0, h.n))
+        assert all(x.flags.writeable for x in (hess.data, hess.indices, hess.indptr))
 
 
 def test_total_weight_is_python_sum_in_edge_order():

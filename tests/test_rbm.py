@@ -162,6 +162,38 @@ def test_params_bounded_so_log_psi_cannot_overflow():
         assert np.isfinite(log_derivatives(p, [0.1, 0.2, 0.3])).all()
 
 
+def test_params_keep_copies_of_their_arrays():
+    # a caller's later write to an array it passed in cannot undo the bound
+    # checked above: log psi stays finite and unchanged, with no warning
+    a = np.zeros((2, 3))
+    p = RbmParams(a=a, b=np.zeros((2, 2)), c=np.zeros((3, 2)))
+    before = log_psi(p, [0.1, 0.2, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a[:] = 1e200
+        assert log_psi(p, [0.1, 0.2, 0.3]) == before
+    vec = random_params(4, 3, seed=2).pack()
+    q = RbmParams.unpack(vec, 4, 3)
+    assert not any(np.shares_memory(vec, x) for x in (q.a, q.b, q.c))
+    packed = q.pack()
+    assert packed.flags.writeable and not np.shares_memory(packed, q.a)
+
+
+def test_params_are_read_only():
+    made = (
+        random_params(3, 2, seed=3),
+        RbmParams.unpack(np.arange(16.0), 3, 2),
+        init_random(3, seed=4),
+        init_pretrained([0.1, 0.2, 0.3], seed=5),
+    )
+    for p in made:
+        for name in "abc":
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[...] += 1.0
+
+
 def test_hidden_fields_formula():
     p = random_params(3, 2, seed=2)
     thetas = np.array([[0.3, 2.0, 5.5], [1.0, 4.0, 0.2]])
