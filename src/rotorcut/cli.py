@@ -35,6 +35,20 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
+def _parse_grid(text: str) -> list[tuple]:
+    """--values as grid points: ","-separated points of ":"-separated
+    numbers, each an int if int() reads it and a float otherwise."""
+    def number(token: str):
+        try:
+            return int(token)
+        except ValueError:
+            return float(token)
+    try:
+        return [tuple(map(number, tok.split(":"))) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
+
+
 def cmd_gen_graph(args) -> int:
     mode = "unit" if args.weights == "unit" else (args.lo, args.hi)
     g = generate_graph(args.n, args.m, weight_mode=mode, seed=args.seed)
@@ -73,8 +87,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [tuple(tok.split(":")) for tok in args.values.split(",")]
-    table = run_sweep(_spec_from_args(args), args.axis, values)
+    table = run_sweep(_spec_from_args(args), args.axis, args.values)
     for value, s in table:
         print(f"{value}: min={s.min:.6f} mean={s.mean:.6f} max={s.max:.6f}")
     return 0
@@ -132,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     _add_solver_flags(p)
     p.add_argument("--axis", choices=tuple(SWEEP_AXES), required=True)
-    p.add_argument("--values", required=True,
+    p.add_argument("--values", type=_parse_grid, required=True,
                    help="comma-separated grid; samp_warm pairs as samp:warm")
     p.set_defaults(func=cmd_sweep)
     return parser

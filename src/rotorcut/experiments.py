@@ -242,56 +242,41 @@ def run_sweep(
 ) -> list[tuple[object, SeedStats]]:
     """One multi-seed NQS run per grid point along a single parameter axis.
 
-    axis is a key of SWEEP_AXES. A point of a one-field axis is a scalar,
-    and a point of "samp_warm" an (n_samp, n_warm) pair; entries are
-    converted to the type of the VmcConfig field they set, so strings are
-    accepted too; a non-integral value for an integer field is an error,
-    not truncated. The table pairs each converted point with its statistics.
-    When out_dir is set, it is made before the first point runs, and a
-    min/mean/max table is written after the last.
+    axis is a key of SWEEP_AXES; values is any iterable of grid points, read
+    once: a scalar or 1-tuple per point of a one-field axis, an (n_samp,
+    n_warm) pair for "samp_warm". Every point's config is built, and so
+    checked by VmcConfig as any setting is, before the first point runs.
+    The table pairs each point, as its config stores it, with its
+    statistics. When out_dir is set, it is made before the first point
+    runs, and a min/mean/max table is written after the last.
     """
     if spec.solver != "nqs":
         raise ValueError("sweeps are defined for solver='nqs' only")
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     fields = SWEEP_AXES[axis]
-    points = [_sweep_point(axis, value) for value in values]
-    if not points:
+    configs = []
+    for value in values:
+        point = tuple(value) if np.ndim(value) else (value,)
+        if len(point) != len(fields):
+            raise ValueError(
+                f"sweep axis {axis!r} takes {len(fields)} value(s) per point "
+                f"({':'.join(fields)}), got {len(point)}: {value!r}"
+            )
+        configs.append(replace(spec.vmc, **dict(zip(fields, point))))
+    if not configs:
         raise ValueError("sweep grid is empty")
     out = _make_out_dir(spec)
 
     table: list[tuple[object, SeedStats]] = []
-    for point in points:
-        cfg = replace(spec.vmc, **dict(zip(fields, point)))
+    for cfg in configs:
         stats = run_experiment(replace(spec, vmc=cfg, out_dir=None))["nqs"]
+        point = tuple(getattr(cfg, name) for name in fields)
         table.append((point if len(point) > 1 else point[0], stats))
 
     if out is not None:
         write_sweep_csv(axis, table, out / f"{spec.label}_sweep_{axis}.csv")
     return table
-
-
-def _sweep_point(axis: str, value) -> tuple:
-    """A grid point as a tuple with one typed entry per field of its axis."""
-    fields = SWEEP_AXES[axis]
-    entries = tuple(value) if np.ndim(value) else (value,)
-    if len(entries) != len(fields):
-        raise ValueError(
-            f"sweep axis {axis!r} takes {len(fields)} value(s) per point "
-            f"({':'.join(fields)}), got {len(entries)}: {value!r}"
-        )
-    point = []
-    for name, entry in zip(fields, entries):
-        integral = type(getattr(VmcConfig, name)) is int
-        try:
-            value = float(entry)
-        except (TypeError, ValueError):
-            value = None
-        if value is None or (integral and not value.is_integer()):
-            kind = "an integer" if integral else "a number"
-            raise ValueError(f"sweep axis {axis!r}: {name} must be {kind}, got {entry!r}")
-        point.append(int(value) if integral else value)
-    return tuple(point)
 
 
 def write_stats_csv(rows: list[SeedResult], path) -> None:

@@ -28,6 +28,7 @@ _BRUTE_FORCE_CHUNK = 1 << 16
 # the largest n with n * n < 2**63, so a pair i < j keyed as i * n + j fits
 _MAX_VERTICES = math.isqrt(2**63 - 1)
 _FLOAT = np.dtype(float)
+_BOOLS = frozenset((bool, np.bool_))
 
 WeightMode = Union[str, tuple]
 
@@ -111,7 +112,8 @@ class Graph:
 
     The given edges are checked here, as arrays, wherever they came from.
     Weights whose dtype is not integer or float raise GraphFormatError
-    naming it (_real_array). A self-loop, out-of-range index, repeated pair
+    naming it (_real_array); a bool endpoint or weight is refused even
+    beside numbers. A self-loop, out-of-range index, repeated pair
     or non-finite weight raises GraphFormatError naming the fault, the
     offending edge's position k in the given sequence as edges[k], and its
     0-based endpoints and weight.
@@ -134,13 +136,15 @@ class Graph:
             integral = ends.ndim == 2 and ends.dtype.kind in "iu"
         except ValueError:  # endpoints that are sequences of unequal length
             integral = False
-        if given and not integral:
+        # numpy reads a bool beside numbers as 0 or 1, so a scan refuses it
+        if given and (not integral or not _BOOLS.isdisjoint(map(type, chain(ii, jj)))):
             raise GraphFormatError("vertex indices must be integers")
-        ii, jj = ends.astype(np.intp)
-        ww = _real_array("edge weights", ww, GraphFormatError)
-        if ww.ndim != 1:
+        weights = _real_array("edge weights", ww, GraphFormatError)
+        if weights.ndim != 1:
             raise GraphFormatError("edge weights must be real numbers, not sequences")
-        self._store(n, ii, jj, ww)
+        if not _BOOLS.isdisjoint(map(type, ww)):
+            raise GraphFormatError("edge weights must be real numbers, got a bool")
+        self._store(n, *ends.astype(np.intp), weights)
 
     @classmethod
     def _from_arrays(cls, n, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> Graph:
@@ -385,19 +389,13 @@ def brute_force_max_cut(g: Graph) -> tuple[float, np.ndarray]:
         bits = (masks[:, None] >> shifts[None, :]) & np.uint32(1)
         labels = np.zeros((masks.size, g.n), dtype=np.uint32)
         labels[:, 1:] = bits
-        if g.m:
-            crossing = labels[:, ii] != labels[:, jj]
-            values = crossing.astype(float) @ ww
-        else:
-            values = np.zeros(masks.size)
+        values = (labels[:, ii] != labels[:, jj]).astype(float) @ ww
         k = int(np.argmax(values))
         if values[k] > best_value:
             best_value = float(values[k])
             best_mask = start + k
 
-    x = np.ones(g.n, dtype=int)
-    for v in range(1, g.n):
-        if (best_mask >> (v - 1)) & 1:
-            x[v] = -1
+    # x[v] = -1 where bit v - 1 of best_mask is set; x[0] = +1
+    x = 1 - 2 * ((best_mask << 1 >> np.arange(g.n)) & 1)
     # report the value through cut_value so it is exactly consistent
     return cut_value(g, x), x

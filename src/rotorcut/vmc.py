@@ -69,8 +69,10 @@ class VmcConfig:
 class ChainState:
     """One Metropolis walker: position, cached log psi, and its generator.
 
-    The cache always equals log_psi(params, theta) for the parameters the
-    chain is currently sampling. mh_step and sample_batch advance the walker
+    The cache is log psi under the parameters of chain_init or of the last
+    accepted step: sr_iteration does not refresh it, so a segment's steps up
+    to its first acceptance compare log psi under two parameter sets, a
+    known defect. mh_step and sample_batch advance the walker
     in place; an accepted step rebinds theta to a new array, so an array
     once read from it never changes.
     """

@@ -117,6 +117,26 @@ def test_sweep_samp_warm_pairs(tmp_path, capsys):
     assert "n_samp:n_warm" in err
 
 
+def test_sweep_values_are_read_as_numbers(tmp_path, capsys):
+    # a --values token is an int if int() reads it, else a float; VmcConfig
+    # then checks it as it checks the flag of the same setting
+    path = tmp_path / "k3.txt"
+    path.write_text(K3_TEXT)
+    sweep = ["sweep", str(path), "--seeds", "0", "--n-samp", "10", "--n-iter", "5"]
+    for bad in ("3,x", "3,,5", "10:x", "True"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*sweep, "--axis", "n_iter", "--values", bad])
+        assert exit_info.value.code == 2
+        assert "argument --values: not a list of numbers" in capsys.readouterr().err
+    for bad in ("3.0", "1e1", "nan"):
+        code = main([*sweep, "--axis", "n_iter", "--values", bad])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: n_iter must be an integer"), err
+    assert main([*sweep, "--axis", "lambda_reg", "--values", "1e-9,0,1e-7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["1e-09", "0.0", "1e-07"]
+
+
 def test_bad_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -292,17 +293,53 @@ def test_sweep_guards(k3):
         run_sweep(nqs, "samp_warm", [(10, 0), 10])
     with pytest.raises(ValueError, match="'n_iter' takes 1 value"):
         run_sweep(nqs, "n_iter", [(5, 3)])
-    with pytest.raises(ValueError, match="n_iter must be an integer, got 5.7"):
-        run_sweep(nqs, "n_iter", [5.7])
-    with pytest.raises(ValueError, match="n_warm must be an integer"):
+    # each grid value is checked by VmcConfig, as any setting is: a string,
+    # a bool or a float, integral or not, is no integer
+    for bad in (5.7, 8.0, "8", "ten", True, np.float64(8)):
+        with pytest.raises(ValueError, match=f"^n_iter must be an integer, got {re.escape(repr(bad))}$"):
+            run_sweep(nqs, "n_iter", [5, bad])
+    with pytest.raises(ValueError, match="^n_warm must be an integer, got 0.5$"):
         run_sweep(nqs, "samp_warm", [(10, 0.5)])
-    with pytest.raises(ValueError, match="'n_iter': n_iter must be an integer, got 'ten'"):
-        run_sweep(nqs, "n_iter", ["ten"])
-    with pytest.raises(ValueError, match="'lambda_reg': lambda_reg must be a number"):
+    with pytest.raises(ValueError, match="^lambda_reg must be a finite number"):
         run_sweep(nqs, "lambda_reg", ["tiny"])
-    # integral spellings of an integer, as the CLI passes them, are accepted
-    table = run_sweep(nqs, "samp_warm", [("1e1", "2.0"), (8.0, "0")])
-    assert [point for point, _ in table] == [(10, 2), (8, 0)]
+    with pytest.raises(ValueError, match="^lambda_reg must be a finite number"):
+        run_sweep(nqs, "lambda_reg", [False])
+
+
+def test_sweep_checks_every_point_before_the_first_runs(k3, tmp_path, monkeypatch):
+    seeds_run = []
+    monkeypatch.setattr("rotorcut.experiments.run_seed",
+                        lambda spec, seed: seeds_run.append(seed) or [])
+    out = tmp_path / "out"
+    spec = ExperimentSpec(graph=k3, seeds=(0,), vmc=FAST, out_dir=out)
+    for bad in (True, 8.0, "8"):
+        with pytest.raises(ValueError, match="^n_iter must be an integer"):
+            run_sweep(spec, "n_iter", [5, bad])
+    assert seeds_run == [] and not out.exists()
+
+
+def test_sweep_hands_each_point_to_vmc_config(k3, monkeypatch):
+    # a grid value reaches VmcConfig as given, with no float on the way, and
+    # the table reports it as the config stores it; values is read once
+    configs = []
+
+    def record(spec):
+        configs.append(spec.vmc)
+        return {"nqs": aggregate([SeedResult("nqs", 0, -1.0, 2.0, 0.0)])}
+
+    monkeypatch.setattr(experiments, "run_experiment", record)
+    nqs = ExperimentSpec(graph=k3, seeds=(0,), vmc=FAST)
+    big = 2**53 + 1
+    table = run_sweep(nqs, "n_iter", iter([big, np.int64(7)]))
+    assert [cfg.n_iter for cfg in configs] == [big, 7]
+    assert [point for point, _ in table] == [big, 7]
+    assert all(type(point) is int for point, _ in table)
+    configs.clear()
+    table = run_sweep(nqs, "lambda_reg", (v for v in (1e-9, 0, (3,))))
+    assert [point for point, _ in table] == [1e-9, 0.0, 3.0]
+    assert all(type(point) is float for point, _ in table)
+    table = run_sweep(nqs, "samp_warm", [(10, 0), np.array([12, 2])])
+    assert [point for point, _ in table] == [(10, 0), (12, 2)]
     assert all(type(v) is int for point, _ in table for v in point)
 
 

@@ -372,8 +372,15 @@ def test_graph_validation():
         with pytest.raises(GraphFormatError, match="^edge weights must be real numbers"):
             Graph(3, edges)
     assert Graph(3, [(0, 1, 2), (1, 2, np.float32(0.5))]).edges == ((0, 1, 2.0), (1, 2, 0.5))
-    # numpy reads a bool among integer endpoints as 0 or 1
-    assert Graph(3, [(0, True, 1.0)]).edges == ((0, 1, 1.0),)
+    # a bool is no vertex index and no weight, even where numpy would read
+    # it among numbers as 0 or 1
+    for edges in ([(0, True, 1.0)], [(0, True, 1.0), (1, 2, 1.0)],
+                  [(np.bool_(False), 2, 1.0), (1, 2, 1.0)]):
+        with pytest.raises(GraphFormatError, match="^vertex indices must be integers$"):
+            Graph(3, edges)
+    for edges in ([(0, 1, 1.0), (1, 2, True)], [(0, 1, 2), (1, 2, np.True_)]):
+        with pytest.raises(GraphFormatError, match="^edge weights must be real numbers, got a bool$"):
+            Graph(3, edges)
     assert Graph(3, ((i, i + 1, 1.0) for i in range(2))).edges == (
         (0, 1, 1.0), (1, 2, 1.0)
     )

@@ -6,6 +6,7 @@ from rotorcut import (
     RbmParams,
     VmcConfig,
     cost,
+    generate_graph,
     init_random,
     log_derivatives,
     log_psi,
@@ -385,6 +386,22 @@ def test_sr_iteration_moves_params(k3):
     assert batch.n_kept == cfg.n_samp and residual >= 0.0
     assert 0.0 <= batch.accept_rate <= 1.0
     np.testing.assert_array_equal(batch.samples[-1], s.theta)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND in CHANGES.md: the walker's cached log psi is not refreshed after an SR "
+    "update, so a segment's first steps compare log psi under two parameter sets "
+    "(ROADMAP item 15)"))
+def test_chain_cache_tracks_the_sampled_parameters():
+    # Metropolis needs log psi of the current position under the parameters
+    # being sampled, at every segment start
+    g = generate_graph(20, 60, (0, 15), 3)
+    cfg = VmcConfig(n_samp=40, n_iter=3, lambda_reg=1e-9, seed=0)
+    p = init_random(g.n, seed=[0, 1])
+    chain = chain_init(p, cfg.seed)
+    for _ in range(cfg.n_iter):
+        assert chain.log_psi == pytest.approx(log_psi(p, chain.theta), rel=1e-12)
+        p, _, _ = sr_iteration(g, p, chain, cfg)
 
 
 @pytest.mark.parametrize("edgeless", [False, True])
