@@ -105,7 +105,7 @@ class Graph:
     integer endpoints with ii < jj and float weights, read-only. Each
     unordered pair appears at most once and self-loops are rejected.
     Graph(n, edges) takes (i, j, w) triples, and the edges attribute gives
-    them back as a tuple of triples, built from the arrays on first access;
+    them back as a tuple of triples, built from the arrays on each access;
     equality, hashing and repr mean what they would on (n, edges).
     Instances are immutable, with read-only arrays, the cached adjacency's
     included, and safe to share across threads.
@@ -200,10 +200,10 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """The edges as (i, j, w) triples of Python numbers, i < j, in the
-        order they were given."""
+        order they were given; built from edge_arrays on each access."""
         return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @property

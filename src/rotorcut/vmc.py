@@ -282,19 +282,20 @@ def minres_solve(
     return x, residual, iters
 
 
-def sr_solve(batch: SrBatch, force, lam: float) -> tuple[np.ndarray, float]:
-    """Exact solution d of (S + lam*I) d = force; returns (d, residual).
+def sr_solve(batch: SrBatch, lam: float) -> tuple[np.ndarray, float]:
+    """Exact d of (S + lam*I) d = f for f = estimate_forces(batch); returns (d, residual).
 
     With X = batch.centered (K x P), C = diag(counts) and W = C^(1/2) X,
-    S = W'W/N and force = X'y = W'z for y = batch.energy_weights and
+    S = W'W/N and f = X'y = W'z for y = batch.energy_weights and
     z = C^(-1/2) y. When K < P the push-through identity
     (W'W/N + lam I)^-1 W'z = W'(WW'/N + lam I)^-1 z leaves one K x K
     system; otherwise the P x P system is solved. The smaller Gram matrix
     is diagonalized with eigh and each sigma_i + lam inverted, except those
     below max(N, P) * eps * sigma_max, which are dropped: at lam = 0 this
     is the pseudo-inverse, the minimum-norm solution. The residual
-    |(S + lam*I) d - force| is measured with one apply_metric call.
+    |(S + lam*I) d - f| is measured with one apply_metric call.
     """
+    force = estimate_forces(batch)
     root = np.sqrt(batch.counts)
     w = root[:, None] * batch.centered
     k, n_params = w.shape
@@ -302,7 +303,7 @@ def sr_solve(batch: SrBatch, force, lam: float) -> tuple[np.ndarray, float]:
     if k < n_params:
         gram, rhs = w @ w.T / n, batch.energy_weights / root
     else:
-        gram, rhs = w.T @ w / n, np.asarray(force, dtype=float)
+        gram, rhs = w.T @ w / n, force
     if not np.all(np.isfinite(gram)):
         raise FloatingPointError("non-finite values in the SR metric")
     sigma, u = np.linalg.eigh(gram)
@@ -323,14 +324,13 @@ def sr_iteration(
 ) -> tuple[RbmParams, SrBatch, float]:
     """One full stochastic-reconfiguration cycle.
 
-    Sample, estimate forces, solve (S + lambda_reg I) d = grad, and step
-    the packed parameters by -learning_rate * d. Returns (new_params,
-    batch, residual): the batch is the iteration's record (energies,
-    acceptance, sampled positions) and residual that of the SR solve. The
-    chain advances in place.
+    Sample, solve (S + lambda_reg I) d = f by sr_solve, step the packed
+    parameters by -learning_rate * d, and return (new_params, batch,
+    residual): the batch is the iteration's record (energies, acceptance,
+    sampled positions), residual that of the solve. The chain advances in place.
     """
     batch = sample_batch(g, p, chain, cfg)
-    delta, residual = sr_solve(batch, estimate_forces(batch), cfg.lambda_reg)
+    delta, residual = sr_solve(batch, cfg.lambda_reg)
     updated = RbmParams.unpack(p.pack() - cfg.learning_rate * delta, p.n, p.m)
     return updated, batch, residual
 
@@ -342,7 +342,11 @@ def run_vmc(g: Graph, cfg: VmcConfig, init: RbmParams) -> RunTrace:
     never restarted. The reported solution is the lowest-cost configuration
     ever sampled (first occurrence on ties), together with its
     Procedure-Cut rounding. Identical (graph, cfg, init) reproduce the
-    trace bit for bit.
+    trace bit for bit. An iteration whose update breaks RbmParams' bound
+    (ValueError) or whose SR solve meets non-finite values
+    (FloatingPointError) ends the run in an error of the same type,
+    chained to it, whose message adds the iteration, the learning rate and
+    the last finite e_mean.
     """
     if init.n != g.n:
         raise ValueError(f"params are for n={init.n}, graph has n={g.n}")
@@ -357,7 +361,14 @@ def run_vmc(g: Graph, cfg: VmcConfig, init: RbmParams) -> RunTrace:
     best_energy = np.inf
     best_theta = chain.theta.copy()
     for it in range(cfg.n_iter):
-        p, batch, residual[it] = sr_iteration(g, p, chain, cfg)
+        try:
+            p, batch, residual[it] = sr_iteration(g, p, chain, cfg)
+        except (ValueError, FloatingPointError) as exc:
+            finite = e_mean[:it][np.isfinite(e_mean[:it])]
+            last = (f"last finite e_mean {float(finite[-1])!r}" if finite.size
+                    else "no finite e_mean recorded")
+            raise type(exc)(f"{exc}; the run stopped at iteration {it + 1} of {cfg.n_iter}, "
+                            f"learning_rate={cfg.learning_rate!r}, {last}") from exc
         e_mean[it] = batch.e_mean
         accept_rate[it] = batch.accept_rate
         k = int(np.argmin(batch.e_loc))

@@ -3,8 +3,8 @@
 Each test certifies one headline guarantee of the package at its stated
 tolerance and prints a single PASS line with the measured margin. The
 heavyweight optimization runs (50-node random-weight graph, certification
-suite of 8 named graphs) make this module take several minutes; everything
-is fixed-seed and deterministic.
+suite of 8 named graphs) map their independent seeds over a process pool
+(parallel.run_vmc_all); everything is fixed-seed and deterministic.
 """
 
 import numpy as np
@@ -45,6 +45,7 @@ from oracles import (
     per_step_draw,
     quadrature_log_psi,
 )
+from parallel import run_vmc_all
 
 BIG_SEED = 2024
 
@@ -72,13 +73,12 @@ def long_runs(big_graph):
     in test_vmc.py::test_run_vmc_prefix_property), so milestone statistics
     at 250/1000/4000 iterations come from a single run per seed.
     """
-    traces = {}
-    for seed in range(10):
-        cfg = VmcConfig(
-            n_samp=40, n_warm=0, n_iter=4000, lambda_reg=1e-9, seed=seed
-        )
-        traces[seed] = run_vmc(big_graph, cfg, init_random(50, seed=[seed, 1]))
-    return traces
+    jobs = [
+        (big_graph, VmcConfig(n_samp=40, n_warm=0, n_iter=4000, lambda_reg=1e-9, seed=seed),
+         init_random(50, seed=[seed, 1]))
+        for seed in range(10)
+    ]
+    return dict(enumerate(run_vmc_all(jobs)))
 
 
 def test_bessel_numerics():
@@ -192,7 +192,7 @@ def test_sr_machinery():
             worst_metric = max(worst_metric, err)
             assert err <= 1e-12
         force = estimate_forces(batch)
-        err = np.max(np.abs(sr_solve(batch, force, lam)[0] - np.linalg.solve(dense, force)))
+        err = np.max(np.abs(sr_solve(batch, lam)[0] - np.linalg.solve(dense, force)))
         worst_exact = max(worst_exact, err)
         assert err <= 1e-9
 
@@ -226,7 +226,7 @@ def test_sr_machinery():
         )
         force = estimate_forces(batch)
         direct = np.linalg.solve(dense_sr_metric(o, 0.1), force)
-        err = np.max(np.abs(sr_solve(batch, force, 0.1)[0] - direct))
+        err = np.max(np.abs(sr_solve(batch, 0.1)[0] - direct))
         worst_exact = max(worst_exact, err)
         assert err <= 1e-9
     print(
@@ -298,19 +298,20 @@ def test_sampler_total_variation():
 def test_small_graph_optimality(small_suite):
     # NQS with 10 seeds per graph: the rounded best sample equals the
     # brute-force optimum for >= 9/10 seeds everywhere, 10/10 for n <= 6
-    failures = {}
-    for name, g in small_suite.items():
-        opt, _ = brute_force_max_cut(g)
+    jobs = []
+    for g in small_suite.values():
         n_iter, n_samp = appendix_tier(g.n)
-        hits = 0
         for seed in range(10):
             cfg = VmcConfig(
                 n_samp=n_samp, n_warm=0, n_iter=n_iter,
                 lambda_reg=1e-9, seed=seed,
             )
-            trace = run_vmc(g, cfg, init_random(g.n, seed=[seed, 1]))
-            if abs(trace.best_cut_value - opt) <= 1e-9:
-                hits += 1
+            jobs.append((g, cfg, init_random(g.n, seed=[seed, 1])))
+    traces = iter(run_vmc_all(jobs))
+    failures = {}
+    for name, g in small_suite.items():
+        opt, _ = brute_force_max_cut(g)
+        hits = sum(abs(next(traces).best_cut_value - opt) <= 1e-9 for _ in range(10))
         failures[name] = 10 - hits
         assert hits >= 9, f"{name}: {hits}/10 seeds reached the optimum"
         if g.n <= 6:

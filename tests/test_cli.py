@@ -190,6 +190,17 @@ def test_numerical_failure_is_reported(tmp_path, capsys, monkeypatch):
     assert "error: non-finite values in the SR solution" in capsys.readouterr().err
 
 
+def test_runaway_run_is_reported(tmp_path, capsys):
+    path = tmp_path / "k3.txt"
+    path.write_text(K3_TEXT)
+    code = main(["run", str(path), "--solver", "nqs", "--seeds", "0",
+                 "--n-samp", "10", "--n-iter", "5", "--learning-rate", "1e160"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RbmParams.a, b:") and "Traceback" not in err
+    assert "the run stopped at iteration 1 of 5, learning_rate=1e+160" in err
+
+
 def test_bad_out_dir_is_reported_before_any_seed(tmp_path, capsys, monkeypatch):
     seeds_run = []
     monkeypatch.setattr("rotorcut.experiments.run_seed",

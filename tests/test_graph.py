@@ -44,6 +44,16 @@ def test_edges_canonicalized():
     assert Graph(3, [(np.int64(2), np.intp(0), 1.5)]).edges == ((0, 2, 1.5),)
 
 
+def test_edges_are_stored_once():
+    # the tuple of triples is built on each access and never kept: a graph
+    # holds its edge arrays and, once used, its CSR cache, nothing more
+    g = generate_graph(9, 14, weight_mode=(0.0, 15.0), seed=5)
+    assert g.edges == g.edges and g.edges is not g.edges
+    repr(g), g.adjacency
+    assert "edges" not in vars(g)
+    assert set(vars(g)) == {"n", "edge_arrays", "_csr"}
+
+
 def test_serialize_round_trip():
     g = generate_graph(9, 14, weight_mode=(0.0, 15.0), seed=5)
     again = parse_edge_list(serialize_edge_list(g))

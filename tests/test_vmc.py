@@ -219,7 +219,7 @@ def test_estimate_forces_needs_two_samples():
         force = estimate_forces(batch)
         np.testing.assert_array_equal(force, 0.0)
         for lam in SR_LAMBDAS:
-            delta, residual = sr_solve(batch, force, lam)
+            delta, residual = sr_solve(batch, lam)
             np.testing.assert_array_equal(delta, 0.0)
             assert residual == 0.0
 
@@ -309,7 +309,7 @@ def test_sr_solve_residual_and_dense_oracle(shape, lam, repeated):
     seed = 20 + n_rows
     batch = (repeated_rows_batch if repeated else make_batch)(n_rows, n_params, seed)
     force = estimate_forces(batch)
-    delta, residual = sr_solve(batch, force, lam)
+    delta, residual = sr_solve(batch, lam)
     assert delta.shape == (n_params,)
     direct = np.linalg.norm(apply_metric(batch, delta, lam) - force)
     assert residual == direct
@@ -326,7 +326,7 @@ def test_sr_solve_lambda_zero_is_minimum_norm(shape):
     # repeated rows more); the solve must return the pseudo-inverse solution
     batch = repeated_rows_batch(*shape, seed=30)
     force = estimate_forces(batch)
-    delta, _ = sr_solve(batch, force, 0.0)
+    delta, _ = sr_solve(batch, 0.0)
     o = np.repeat(batch.o_matrix, batch.counts, axis=0)
     ref = np.linalg.lstsq(dense_sr_metric(o, 0.0), force, rcond=1e-10)[0]
     np.testing.assert_allclose(delta, ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
@@ -336,8 +336,7 @@ def test_sr_solve_lambda_zero_is_minimum_norm(shape):
 def test_sr_solve_constant_energy_gives_zero_step(shape):
     batch = make_batch(*shape, seed=31)
     flat = SrBatch(batch.samples, batch.o_matrix, np.full(shape[0], 2.5), batch.counts, 0.5)
-    force = estimate_forces(flat)
-    delta, residual = sr_solve(flat, force, 1e-6)
+    delta, residual = sr_solve(flat, 1e-6)
     np.testing.assert_array_equal(delta, 0.0)
     assert residual == 0.0
 
@@ -362,7 +361,7 @@ def test_compressed_batch_matches_expanded_twin(shape, lam):
     close(batch.o_mean, twin.o_mean)
     x = np.random.default_rng(34).normal(0, 1, n_params)
     close(apply_metric(batch, x, lam), apply_metric(twin, x, lam))
-    close(sr_solve(batch, force, lam)[0], sr_solve(twin, twin_force, lam)[0])
+    close(sr_solve(batch, lam)[0], sr_solve(twin, lam)[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -373,7 +372,7 @@ def test_sr_solve_rejects_non_finite(shape, bad):
     o[1, 2] = bad
     broken = SrBatch(batch.samples, o, batch.e_loc, batch.counts, 0.5)
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-        sr_solve(broken, np.ones(shape[1]), 1e-6)
+        sr_solve(broken, 1e-6)
 
 
 def test_sr_iteration_moves_params(k3):
@@ -474,6 +473,39 @@ def test_run_vmc_best_tracking(k3):
 def test_run_vmc_size_mismatch(k3):
     with pytest.raises(ValueError):
         run_vmc(k3, VmcConfig(n_samp=10, n_iter=1), init_random(4, seed=0))
+
+
+def test_runaway_run_names_its_iteration(k3, monkeypatch):
+    # a step of 1e160 breaks RbmParams' overflow bound at the first update,
+    # before any energy is recorded
+    cfg = VmcConfig(n_samp=10, n_iter=300, learning_rate=1e160, seed=0)
+    with pytest.raises(ValueError) as info:
+        run_vmc(k3, cfg, init_random(3, seed=[0, 1]))
+    assert str(info.value).startswith("RbmParams.a, b: |b_i| + sum_j |a_ij| must be <=")
+    assert str(info.value).endswith(
+        "; the run stopped at iteration 1 of 300, learning_rate=1e+160, "
+        "no finite e_mean recorded"
+    )
+    assert type(info.value.__cause__) is ValueError
+    # a solve that fails at the third iteration names the second's energy
+    cfg = VmcConfig(n_samp=10, n_iter=5, seed=0)
+    normal = run_vmc(k3, cfg, init_random(3, seed=[0, 1]))
+    calls = []
+
+    def fail_third(batch, lam):
+        calls.append(lam)
+        if len(calls) == 3:
+            raise FloatingPointError("non-finite values in the SR solution")
+        return sr_solve(batch, lam)
+
+    monkeypatch.setattr("rotorcut.vmc.sr_solve", fail_third)
+    with pytest.raises(FloatingPointError) as info:
+        run_vmc(k3, cfg, init_random(3, seed=[0, 1]))
+    assert str(info.value) == (
+        "non-finite values in the SR solution; the run stopped at iteration 3 of 5, "
+        f"learning_rate=0.01, last finite e_mean {float(normal.e_mean[1])!r}"
+    )
+    assert type(info.value.__cause__) is FloatingPointError
 
 
 def test_trace_csv_and_summary(k3, tmp_path):
